@@ -29,12 +29,15 @@ from conftest import print_table
 
 from repro import RoadNetwork
 from repro.datasets import TrafficSimulator, TrajectoryGenerator
-from repro.decision.stochastic import (
-    _dominance_prune_pairwise,
-    dominance_prune,
-)
+from repro.decision.stochastic import dominance_prune
 from repro.governance.fusion import HmmMapMatcher
 from repro.governance.uncertainty import Histogram
+from tests.oracles import (
+    candidate_edges_scan,
+    dominance_prune_pairwise,
+    match_reference,
+    nearest_node_scan,
+)
 
 ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_e26.json"
@@ -65,7 +68,7 @@ def bench_candidate_lookup(n_queries=120):
         for point, radius in queries
     ])
     scanned, scan_s = _timed(lambda: [
-        network._candidate_edges_scan(point, radius)
+        candidate_edges_scan(network, point, radius)
         for point, radius in queries
     ])
     equivalent = all(
@@ -75,7 +78,7 @@ def bench_candidate_lookup(n_queries=120):
         for fast, slow in zip(indexed, scanned)
     )
     nearest_equivalent = all(
-        network.nearest_node(point) == network._nearest_node_scan(point)
+        network.nearest_node(point) == nearest_node_scan(network, point)
         for point, _ in queries
     )
     return {
@@ -117,11 +120,10 @@ def bench_viterbi_batch(n_trajectories=12):
     batched, batch_s = _timed(lambda: matcher.match_many(trajectories))
 
     def run_reference():
-        results = []
-        for trajectory in trajectories:
-            reference.clear_cache()  # per-query serving: cold cache
-            results.append(reference._match_reference(trajectory))
-        return results
+        # The oracle memoizes its searches per call: a cold cache for
+        # every query, as in per-query serving.
+        return [match_reference(reference, trajectory)
+                for trajectory in trajectories]
 
     looped, loop_s = _timed(run_reference)
     return {
@@ -156,7 +158,7 @@ def bench_dominance_kernel(k=64, order=1):
     matrix, matrix_s = _timed(
         lambda: dominance_prune(candidates, order=order))
     pairwise, pairwise_s = _timed(
-        lambda: _dominance_prune_pairwise(candidates, order=order))
+        lambda: dominance_prune_pairwise(candidates, order=order))
     return {
         "kernel": f"dominance_prune_order{order}",
         "k": k,

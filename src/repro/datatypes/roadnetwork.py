@@ -29,6 +29,12 @@ from .._validation import ensure_rng
 __all__ = ["RoadNetwork"]
 
 
+def _ragged_arange(counts):
+    """``concatenate([arange(c) for c in counts])`` without the loop."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+
+
 class _GeometryIndex:
     """Immutable numpy snapshot of a network's geometry + uniform grid.
 
@@ -57,6 +63,17 @@ class _GeometryIndex:
             self.a = np.zeros((0, 2))
             self.b = np.zeros((0, 2))
         self.ab = self.b - self.a
+        index_of = {node: i for i, node in enumerate(self.node_list)}
+        self.u = np.array([index_of[u] for u, _ in self.edge_list],
+                          dtype=np.intp)
+        self.v = np.array([index_of[v] for _, v in self.edge_list],
+                          dtype=np.intp)
+        # ``nan`` for an edge added later without a length, so pure
+        # geometry queries still work on such a graph.
+        self.length = np.array([
+            float(graph.edges[edge].get("length", np.nan))
+            for edge in self.edge_list
+        ])
         self.norm2 = (self.ab ** 2).sum(axis=1)
 
         # Uniform grid over the node bounding box.  Cell size targets a
@@ -75,7 +92,9 @@ class _GeometryIndex:
             np.ceil((hi - lo) / self.cell).astype(int) + 1, 1)
         self.nx_cells, self.ny_cells = int(shape[0]), int(shape[1])
 
-        self._edge_cells = {}
+        # Edge buckets in CSR form: the edges of cell ``c = cx * ny + cy``
+        # are ``cell_edges[cell_start[c]:cell_start[c + 1]]``, ascending.
+        cells, owners = [], []
         if len(self.edge_list):
             lo_cells = self._cell_of(np.minimum(self.a, self.b))
             hi_cells = self._cell_of(np.maximum(self.a, self.b))
@@ -84,12 +103,13 @@ class _GeometryIndex:
                 x1, y1 = hi_cells[index]
                 for cx in range(x0, x1 + 1):
                     for cy in range(y0, y1 + 1):
-                        self._edge_cells.setdefault((cx, cy),
-                                                    []).append(index)
-        self._edge_cells = {
-            key: np.asarray(indices, dtype=np.intp)
-            for key, indices in self._edge_cells.items()
-        }
+                        cells.append(cx * self.ny_cells + cy)
+                        owners.append(index)
+        cells = np.asarray(cells, dtype=np.intp)
+        order = np.argsort(cells, kind="stable")
+        self.cell_edges = np.asarray(owners, dtype=np.intp)[order]
+        self.cell_start = np.searchsorted(
+            cells[order], np.arange(self.nx_cells * self.ny_cells + 1))
 
         self._node_cells = {}
         if len(self.node_list):
@@ -106,17 +126,18 @@ class _GeometryIndex:
             (np.asarray(points, dtype=float) - self.origin) / self.cell
         ).astype(int)
 
-    def project_many(self, point, indices):
+    def project_many(self, points, indices):
         """Vectorized point-to-segment projection over edge ``indices``.
 
-        Returns ``(distances, fractions)`` matching
+        ``points`` is one ``(x, y)`` for every edge, or one row per
+        edge.  Returns ``(distances, fractions)`` matching
         :meth:`RoadNetwork.project_point` on each edge.
         """
-        px, py = float(point[0]), float(point[1])
+        xy = np.asarray(points, dtype=float)
         a = self.a[indices]
         ab = self.ab[indices]
         norm2 = self.norm2[indices]
-        rel = np.array([px, py]) - a
+        rel = xy - a
         with np.errstate(invalid="ignore"):
             fractions = np.where(
                 norm2 > 0,
@@ -125,7 +146,8 @@ class _GeometryIndex:
             )
         fractions = np.clip(fractions, 0.0, 1.0)
         closest = a + fractions[:, None] * ab
-        distances = np.hypot(px - closest[:, 0], py - closest[:, 1])
+        distances = np.hypot(xy[..., 0] - closest[:, 0],
+                             xy[..., 1] - closest[:, 1])
         return distances, fractions
 
     def edges_near(self, point, radius):
@@ -142,15 +164,44 @@ class _GeometryIndex:
         y1 = min(int(hi[1]), self.ny_cells - 1)
         if x1 < x0 or y1 < y0:
             return np.empty(0, dtype=np.intp)
+        start = self.cell_start
         buckets = [
-            self._edge_cells[(cx, cy)]
+            self.cell_edges[start[cell]:start[cell + 1]]
             for cx in range(x0, x1 + 1)
-            for cy in range(y0, y1 + 1)
-            if (cx, cy) in self._edge_cells
+            for cell in range(cx * self.ny_cells + y0,
+                              cx * self.ny_cells + y1 + 1)
         ]
-        if not buckets:
-            return np.empty(0, dtype=np.intp)
         return np.unique(np.concatenate(buckets))
+
+    def edges_near_many(self, points, radius):
+        """:meth:`edges_near` for ``(T, 2)`` points, as ``(point, edge)``.
+
+        One gather over every point's cell range.  The pairs come back
+        unique and sorted by point, then edge, so point ``t``'s edges
+        are exactly ``edges_near(points[t], radius)``.  Memory is
+        O(points x edges in their cells).
+        """
+        xy = np.asarray(points, dtype=float)
+        limit = np.array([self.nx_cells, self.ny_cells])
+        # Clip before the integer cast so far-off points stay defined.
+        lo = np.clip(np.floor((xy - radius - self.origin) / self.cell),
+                     0, limit).astype(np.intp)
+        hi = np.clip(np.floor((xy + radius - self.origin) / self.cell),
+                     -1, limit - 1).astype(np.intp)
+        width = np.maximum(hi - lo + 1, 0)
+        n_cells = width[:, 0] * width[:, 1]
+        owner = np.repeat(np.arange(len(xy)), n_cells)
+        step = _ragged_arange(n_cells)
+        rows = width[owner, 1]
+        cells = (lo[owner, 0] + step // rows) * self.ny_cells \
+            + lo[owner, 1] + step % rows
+        start = self.cell_start[cells]
+        count = self.cell_start[cells + 1] - start
+        edges = self.cell_edges[np.repeat(start, count)
+                                + _ragged_arange(count)]
+        n_edges = max(len(self.edge_list), 1)
+        keys = np.unique(np.repeat(owner, count) * n_edges + edges)
+        return keys // n_edges, keys % n_edges
 
     def _ring_nodes(self, center, ring):
         """Node indices in the cells at Chebyshev distance ``ring``."""
@@ -437,7 +488,10 @@ class RoadNetwork:
         ``adjacency[i]`` lists ``(edge_weight, successor_index)`` pairs.
         Dense integer indices let single-source searches run over plain
         lists and return numpy arrays, which is what the vectorized map
-        matcher gathers from.  Cached per graph revision.
+        matcher gathers from.  Cached per graph revision.  Built from
+        the raw node and successor dicts: networkx's cached ``adj``
+        view would land in the graph's ``__dict__`` and change its
+        pickle.
         """
         key = self._revision()
         cached = self._adjacency_cache.get(("indexed", weight))
@@ -447,18 +501,29 @@ class RoadNetwork:
             cached = self._adjacency_cache.get(("indexed", weight))
             if cached is not None and cached[0] == key:
                 return cached[1]
-            nodes = list(self._graph.nodes())
+            nodes = list(self._graph._node)
             index_of = {node: i for i, node in enumerate(nodes)}
             adjacency = [
                 [
                     (float(data[weight]), index_of[succ])
-                    for succ, data in self._graph.adj[node].items()
+                    for succ, data in self._graph._succ[node].items()
                 ]
                 for node in nodes
             ]
             snapshot = (nodes, index_of, adjacency)
             self._adjacency_cache[("indexed", weight)] = (key, snapshot)
             return snapshot
+
+    def edge_arrays(self):
+        """``(edges, u, v, lengths)`` in :meth:`candidate_arrays`' order.
+
+        Edge index ``e`` names ``edges[e]``; ``u[e]`` / ``v[e]`` are its
+        endpoints' :meth:`node_index` rows and ``lengths[e]`` its
+        length.  Part of the spatial-index snapshot, so edge indices
+        and arrays always come from one graph revision.
+        """
+        geometry = self._geometry()
+        return geometry.edge_list, geometry.u, geometry.v, geometry.length
 
     def node_index(self):
         """``(index_of, nodes)`` for array-based queries.
@@ -535,15 +600,50 @@ class RoadNetwork:
             for i in order
         ]
 
-    def _candidate_edges_scan(self, point, radius):
-        """Brute-force O(E) reference for :meth:`candidate_edges`."""
-        candidates = []
-        for u, v in self._graph.edges():
-            distance, fraction = self.project_point(point, u, v)
-            if distance <= radius:
-                candidates.append((u, v, distance, fraction))
-        candidates.sort(key=lambda item: item[2])
-        return candidates
+    def candidate_arrays(self, points, radius, max_candidates):
+        """:meth:`candidate_edges` for a whole trace, as padded arrays.
+
+        Returns ``(edge, distance, fraction)``, each of shape ``(T, K)``
+        for the ``T`` rows of ``points`` and ``K = max_candidates``.
+        Row ``t`` holds the first ``K`` results of
+        ``candidate_edges(points[t], radius)`` in the same order with
+        bit-identical floats; ``edge`` indexes :meth:`edge_arrays`, and
+        short rows are padded with edge ``-1`` at distance ``inf``.
+        One grid gather and one projection serve every point.
+
+        Raises
+        ------
+        ValueError
+            If ``points`` is not a sequence of ``(x, y)`` pairs, or a
+            coordinate is NaN or infinite (names the first such point).
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError("points must be a sequence of (x, y) pairs")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"point {int(np.argmin(finite))} has a non-finite "
+                "coordinate")
+        radius = float(radius)
+        geometry = self._geometry()
+        point, edge = geometry.edges_near_many(points, radius)
+        distance, fraction = geometry.project_many(points[point], edge)
+        keep = distance <= radius
+        # Lexsort is stable: equal distances stay in edge order, exactly
+        # as candidate_edges' stable argsort leaves them.
+        order = np.lexsort((distance[keep], point[keep]))
+        point, edge, distance, fraction = (
+            array[keep][order] for array in (point, edge, distance,
+                                             fraction))
+        rank = _ragged_arange(np.bincount(point, minlength=len(points)))
+        kept = rank < max_candidates
+        shape = (len(points), max_candidates)
+        padded = (np.full(shape, -1, dtype=np.intp), np.full(shape, np.inf),
+                  np.zeros(shape))
+        for out, values in zip(padded, (edge, distance, fraction)):
+            out[point[kept], rank[kept]] = values[kept]
+        return padded
 
     def nearest_node(self, point):
         """The node closest to planar ``point`` (grid-index backed)."""
@@ -551,17 +651,6 @@ class RoadNetwork:
         if index is None:
             return None
         return self._geometry().node_list[index]
-
-    def _nearest_node_scan(self, point):
-        """Brute-force O(V) reference for :meth:`nearest_node`."""
-        px, py = point
-        best, best_distance = None, math.inf
-        for node in self._graph.nodes():
-            x, y = self.position(node)
-            distance = math.hypot(px - x, py - y)
-            if distance < best_distance:
-                best, best_distance = node, distance
-        return best
 
     # -- paths ----------------------------------------------------------------
 

@@ -19,10 +19,10 @@ queries run over k instead of N:
   :func:`repro.governance.uncertainty.travel_time.wasserstein_distance`);
 * :func:`wasserstein_matrix` / :func:`dtw_band_matrix` — vectorized
   pairwise distances over a whole ensemble (shared union-grid CDF
-  matrix; ensemble-axis-vectorized Sakoe-Chiba-banded DTW), with
-  brute-force pairwise oracles kept for equivalence gating
-  (:func:`_wasserstein_pairwise`, tests cross-check the DTW kernel
-  against :func:`repro.analytics.classification.distance.dtw_distance`);
+  matrix; ensemble-axis-vectorized Sakoe-Chiba-banded DTW), gated
+  against brute-force pairwise oracles in ``tests/oracles.py`` (tests
+  cross-check the DTW kernel against
+  :func:`repro.analytics.classification.distance.dtw_distance`);
 * :func:`reduce_scenarios` — fast-forward-selection scenario reduction
   in the style of Heitsch & Römisch: greedily grow the representative
   set, each step picking the scenario that most lowers the
@@ -118,23 +118,6 @@ def wasserstein_distance(first, second):
         return 0.0
     gaps = np.diff(grid)
     return float(np.abs(cdf[0, :-1] - cdf[1, :-1]) @ gaps)
-
-
-def _wasserstein_pairwise(histograms):
-    """Brute-force pairwise W1 matrix — the kept equivalence oracle.
-
-    N² independent :func:`wasserstein_distance` calls; the E29
-    benchmark asserts :func:`wasserstein_matrix` reproduces it to
-    within floating-point tolerance.
-    """
-    histograms = list(histograms)
-    n = len(histograms)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = wasserstein_distance(
-                histograms[i], histograms[j])
-    return matrix
 
 
 def wasserstein_matrix(histograms):
@@ -330,30 +313,6 @@ def _forward_selection(distance, probabilities, k):
         selected.append(pick)
         np.minimum(nearest, distance[:, pick], out=nearest)
         if probabilities @ nearest <= 0.0:
-            break
-    return selected
-
-
-def _reduce_reference(distance, probabilities, k):
-    """Pure-Python forward selection — the kept equivalence oracle."""
-    n = len(probabilities)
-    nearest = [float("inf")] * n
-    selected = []
-    for _ in range(int(k)):
-        best_pick, best_cost = None, None
-        for u in range(n):
-            if u in selected:
-                continue
-            cost = sum(
-                probabilities[i] * min(nearest[i], distance[i][u])
-                for i in range(n)
-            )
-            if best_cost is None or cost < best_cost:
-                best_pick, best_cost = u, cost
-        selected.append(best_pick)
-        nearest = [min(nearest[i], distance[i][best_pick])
-                   for i in range(n)]
-        if sum(p * d for p, d in zip(probabilities, nearest)) <= 0.0:
             break
     return selected
 

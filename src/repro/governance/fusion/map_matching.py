@@ -18,13 +18,18 @@ Model (exactly the classic formulation):
   (``beta`` = tolerance scale);
 * decoding is exact Viterbi.
 
-The hot path is fully vectorized: emissions and transitions are built
-as numpy matrices per consecutive layer pair and the Viterbi recurrence
-is a broadcast max.  Network distances come from *bounded* Dijkstra
-searches (radius ``straight + beta_cutoff * beta`` — farther transitions
-score below ``-beta_cutoff`` log-probability and are treated as
-unreachable) memoized in a bounded LRU cache shared across points and
-across :meth:`HmmMapMatcher.match_many` batches.
+The hot path is one whole-trajectory kernel.  A single batched
+candidate query (:meth:`RoadNetwork.candidate_arrays`) returns padded
+``(T, K)`` candidate arrays for all ``T`` points; each distinct (exit
+node, cutoff) distance row is fetched once per trajectory; and the
+``(T-1, K, K)`` tensor of transition log-probabilities for every
+consecutive layer pair is built in one broadcast.  Only the Viterbi
+argmax recurrence runs as a Python loop over points.  Network
+distances come from *bounded* Dijkstra searches (radius
+``straight + beta_cutoff * beta`` — farther transitions score below
+``-beta_cutoff`` log-probability and are treated as unreachable)
+memoized in a bounded LRU cache shared across trajectories and across
+:meth:`HmmMapMatcher.match_many` batches.
 """
 
 from __future__ import annotations
@@ -132,6 +137,10 @@ class HmmMapMatcher:
         itself runs *outside* the lock — two threads missing on the same
         node may duplicate that work, but the cache never corrupts and
         the counters still account every lookup exactly once.
+
+        :meth:`match` calls this once per distinct (exit node, cutoff)
+        pair of a trajectory, not once per layer pair, so the hit/miss
+        counters count distinct rows per trajectory.
         """
         with self._cache_lock:
             entry = self._distance_cache.get(node)
@@ -221,91 +230,55 @@ class HmmMapMatcher:
             self._published_hits = 0
             self._published_misses = 0
 
-    def _route_distance(self, candidate_a, candidate_b, cutoff=None):
-        """Network distance between two on-edge positions."""
-        (u1, v1, _, f1) = candidate_a
-        (u2, v2, _, f2) = candidate_b
-        length_a = self.network.edge_length(u1, v1)
-        length_b = self.network.edge_length(u2, v2)
-        if (u1, v1) == (u2, v2) and f2 >= f1:
-            return (f2 - f1) * length_a
-        remaining = (1.0 - f1) * length_a
-        index_of, _ = self.network.node_index()
-        through = self._distances_from(v1, cutoff)[index_of[u2]]
-        if math.isinf(through):
-            return math.inf
-        return remaining + through + f2 * length_b
+    def _transitions(self, points, valid, u, v, fraction, length):
+        """Log transition probabilities for every layer pair.
 
-    def _candidates(self, point):
-        found = self.network.candidate_edges(point, self.candidate_radius)
-        return found[: self.max_candidates]
-
-    def _layers(self, trajectory):
-        """Per-point candidate layers, emission arrays, geometry arrays.
-
-        The geometry arrays (one dict per layer: node indices ``u`` /
-        ``v``, exit node objects, fractions, edge lengths) are built
-        once here so every Viterbi step works on prefabricated numpy
-        arrays instead of re-deriving them from the candidate tuples.
+        Returns a ``(T-1, K, K)`` tensor: entry ``(t, i, j)`` is
+        ``-|route - straight| / beta`` from candidate ``i`` of point
+        ``t`` to candidate ``j`` of point ``t + 1``, and ``-inf`` when
+        they are not connected within the Dijkstra cutoff or either
+        slot is padding.  ``valid``, ``u``, ``v`` (node indices),
+        ``fraction`` and ``length`` are ``(T, K)`` candidate arrays.
         """
-        if not isinstance(trajectory, Trajectory):
-            raise TypeError("trajectory must be a Trajectory")
-        index_of, _ = self.network.node_index()
-        points = [(p.x, p.y) for p in trajectory]
-        layers = []
-        emissions = []
-        arrays = []
-        for index, point in enumerate(points):
-            candidates = self._candidates(point)
-            if not candidates:
-                raise ValueError(
-                    f"no candidate edge within {self.candidate_radius} of "
-                    f"point {index}; the trajectory is off the map"
-                )
-            layers.append(candidates)
-            distances = np.array([c[2] for c in candidates])
-            emissions.append(-0.5 * (distances / self.sigma) ** 2)
-            lengths = np.array([
-                self.network.edge_length(u, v) for u, v, _, _ in candidates
-            ])
-            arrays.append({
-                "u": np.array([index_of[u] for u, _, _, _ in candidates],
-                              dtype=np.intp),
-                "v": np.array([index_of[v] for _, v, _, _ in candidates],
-                              dtype=np.intp),
-                "exit_nodes": [v for _, v, _, _ in candidates],
-                "frac": np.array([f for _, _, _, f in candidates]),
-                "length": lengths,
-            })
-        return points, layers, emissions, arrays
-
-    def _transition_matrix(self, previous, current, straight):
-        """Log transition probabilities as a ``(k_prev, k_cur)`` matrix.
-
-        Entry ``(i, j)`` is ``-|route_ij - straight| / beta`` with
-        ``-inf`` for pairs not connected within the Dijkstra cutoff.
-        ``previous`` / ``current`` are the per-layer geometry dicts from
-        :meth:`_layers`; the whole matrix is one broadcast expression
-        over cached distance rows.
-        """
-        cutoff = self._cutoff_for(straight)
-        remaining = (1.0 - previous["frac"]) * previous["length"]
-        entry_cost = current["frac"] * current["length"]
-        through = np.vstack([
-            self._distances_from(node, cutoff)[current["u"]]
-            for node in previous["exit_nodes"]
+        straight = np.array([
+            math.hypot(b[0] - a[0], b[1] - a[1])
+            for a, b in zip(points, points[1:])
         ])
-        route = remaining[:, None] + through + entry_cost[None, :]
+        cutoffs = [self._cutoff_for(float(gap)) for gap in straight]
+        # Rows are fetched in the order the trace first needs them, so
+        # the LRU sees the same recency as a point-by-point walk.
+        _, nodes = self.network.node_index()
+        levels = list(dict.fromkeys(cutoffs))
+        level_of = {cutoff: i for i, cutoff in enumerate(levels)}
+        keys = v[:-1] * len(levels) \
+            + np.array([level_of[c] for c in cutoffs])[:, None]
+        needed = keys[valid[:-1]].tolist()
+        position = {key: i for i, key in enumerate(dict.fromkeys(needed))}
+        columns, column_of = np.unique(u[1:], return_inverse=True)
+        rows = np.stack([
+            self._distances_from(nodes[key // len(levels)],
+                                 levels[key % len(levels)])[columns]
+            for key in position
+        ])
+        row_index = np.zeros(keys.shape, dtype=np.intp)
+        row_index[valid[:-1]] = [position[key] for key in needed]
+        through = rows[row_index[:, :, None],
+                       column_of.reshape(u[1:].shape)[:, None, :]]
+
+        before, after = fraction[:-1, :, None], fraction[1:, None, :]
+        length_before = length[:-1, :, None]
+        route = (1.0 - before) * length_before + through \
+            + after * length[1:, None, :]
         same_edge = (
-            (previous["u"][:, None] == current["u"][None, :])
-            & (previous["v"][:, None] == current["v"][None, :])
-            & (current["frac"][None, :] >= previous["frac"][:, None])
+            (u[:-1, :, None] == u[1:, None, :])
+            & (v[:-1, :, None] == v[1:, None, :])
+            & (after >= before)
         )
-        if same_edge.any():
-            along = (current["frac"][None, :] - previous["frac"][:, None]) \
-                * previous["length"][:, None]
-            route = np.where(same_edge, along, route)
-        return -np.abs(route - straight) / self.beta
+        route = np.where(same_edge, (after - before) * length_before,
+                         route)
+        log_p = -np.abs(route - straight[:, None, None]) / self.beta
+        log_p[~(valid[:-1, :, None] & valid[1:, None, :])] = -np.inf
+        return log_p
 
     # -- public API -------------------------------------------------------------
 
@@ -320,30 +293,49 @@ class HmmMapMatcher:
         Raises
         ------
         ValueError
-            If some point has no candidate edge within radius (increase
-            ``candidate_radius``).
+            If a coordinate is NaN or infinite, or some point has no
+            candidate edge within radius (increase
+            ``candidate_radius``); the message names the point.
         """
-        points, layers, emissions, arrays = self._layers(trajectory)
+        if not isinstance(trajectory, Trajectory):
+            raise TypeError("trajectory must be a Trajectory")
+        points = [(p.x, p.y) for p in trajectory]
+        edge, distance, fraction = self.network.candidate_arrays(
+            points, self.candidate_radius, self.max_candidates)
+        valid = edge >= 0
+        if not valid[:, 0].all():
+            raise ValueError(
+                f"no candidate edge within {self.candidate_radius} of "
+                f"point {int(np.argmin(valid[:, 0]))}; the trajectory is "
+                "off the map"
+            )
+        edges, u, v, length = self.network.edge_arrays()
+        edge_or_first = np.where(valid, edge, 0)
+        transitions = self._transitions(
+            points, valid, u[edge_or_first], v[edge_or_first], fraction,
+            length[edge_or_first])
+        # Padding sits at distance inf, so its emission is -inf.
+        emissions = -0.5 * (distance / self.sigma) ** 2
 
         scores = emissions[0]
+        slots = np.arange(self.max_candidates)
         backpointers = []
-        for step in range(1, len(layers)):
-            straight = math.hypot(
-                points[step][0] - points[step - 1][0],
-                points[step][1] - points[step - 1][1],
-            )
-            transitions = self._transition_matrix(
-                arrays[step - 1], arrays[step], straight)
-            totals = scores[:, None] + transitions
-            pointers = np.argmax(totals, axis=0)
-            scores = totals[pointers, np.arange(totals.shape[1])] \
-                + emissions[step]
+        layer_scores = []
+        for transition, emission in zip(transitions, emissions[1:]):
+            totals = scores[:, None] + transition
+            pointers = totals.argmax(axis=0)
+            scores = totals[pointers, slots] + emission
             backpointers.append(pointers)
-            if np.all(np.isneginf(scores)):
-                raise ValueError(
-                    f"no connected matching through point {step}; "
-                    "the network may be disconnected along the trace"
-                )
+            layer_scores.append(scores)
+        # A layer with every score -inf keeps every later layer there,
+        # so one check after the loop finds the first dead point.
+        if np.isneginf(scores).all():
+            step = 1 + [np.isneginf(layer).all()
+                        for layer in layer_scores].index(True)
+            raise ValueError(
+                f"no connected matching through point {step}; "
+                "the network may be disconnected along the trace"
+            )
 
         best = int(np.argmax(scores))
         chosen = [best]
@@ -352,7 +344,11 @@ class HmmMapMatcher:
             chosen.append(best)
         chosen.reverse()
         self._publish_cache_metrics()
-        return [layers[i][c] for i, c in enumerate(chosen)]
+        return [
+            (*edges[edge[t, c]], float(distance[t, c]),
+             float(fraction[t, c]))
+            for t, c in enumerate(chosen)
+        ]
 
     def match_many(self, trajectories):
         """Batch-match trajectories, sharing the distance cache.
@@ -363,51 +359,6 @@ class HmmMapMatcher:
         cold matcher.  Returns one :meth:`match` result per trajectory.
         """
         return [self.match(trajectory) for trajectory in trajectories]
-
-    def _match_reference(self, trajectory):
-        """Pre-vectorization per-pair Viterbi (reference oracle).
-
-        Identical model with unbounded Dijkstra searches and pure-Python
-        loops; kept for equivalence tests and the E26 benchmark.
-        """
-        points, layers, emissions_arrays, _ = self._layers(trajectory)
-        scores = list(emissions_arrays[0])
-        backpointers = []
-        for step in range(1, len(layers)):
-            straight = math.hypot(
-                points[step][0] - points[step - 1][0],
-                points[step][1] - points[step - 1][1],
-            )
-            new_scores = []
-            pointers = []
-            for j, candidate in enumerate(layers[step]):
-                best_score, best_prev = -math.inf, 0
-                for prev_index, previous in enumerate(layers[step - 1]):
-                    route = self._route_distance(previous, candidate)
-                    if math.isinf(route):
-                        continue
-                    transition = -abs(route - straight) / self.beta
-                    score = scores[prev_index] + transition
-                    if score > best_score:
-                        best_score, best_prev = score, prev_index
-                new_scores.append(best_score
-                                  + emissions_arrays[step][j])
-                pointers.append(best_prev)
-            scores = new_scores
-            backpointers.append(pointers)
-            if all(math.isinf(-s) for s in scores):
-                raise ValueError(
-                    f"no connected matching through point {step}; "
-                    "the network may be disconnected along the trace"
-                )
-
-        best = int(np.argmax(scores))
-        chosen = [best]
-        for pointers in reversed(backpointers):
-            best = pointers[best]
-            chosen.append(best)
-        chosen.reverse()
-        return [layers[i][c] for i, c in enumerate(chosen)]
 
     def matched_path(self, trajectory):
         """The full node path the vehicle most likely travelled.

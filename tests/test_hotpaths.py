@@ -1,30 +1,41 @@
 """Equivalence tests for the E26 hot-path kernels.
 
 Each vectorized/indexed kernel must return the same results as the
-brute-force implementation it replaced; the brute-force paths are kept
-in the library as private reference oracles
-(``RoadNetwork._candidate_edges_scan``, ``RoadNetwork._nearest_node_scan``,
-``HmmMapMatcher._match_reference``,
-``repro.decision.stochastic._dominance_prune_pairwise``).
+brute-force implementation it replaced.  Those brute-force paths live
+in ``tests/oracles.py`` (``candidate_edges_scan``,
+``nearest_node_scan``, ``match_reference``,
+``dominance_prune_pairwise``) and use only public APIs.
 """
 
 import math
+import pickle
+import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro import RoadNetwork
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import RoadNetwork, Trajectory
 from repro._validation import trapezoid
+from repro.core.cache import fingerprint
 from repro.datasets import TrafficSimulator, TrajectoryGenerator
 from repro.decision import StochasticRouter, RiskAverseUtility
 from repro.decision.stochastic import (
-    _dominance_prune_pairwise,
     dominance_prune,
     first_order_dominates,
     second_order_dominates,
 )
 from repro.governance.fusion import HmmMapMatcher
 from repro.governance.uncertainty import Histogram, PathCentricModel
+from tests.oracles import (
+    candidate_edges_scan,
+    dominance_prune_pairwise,
+    match_reference,
+    nearest_node_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +55,7 @@ class TestSpatialIndex:
                 point = tuple(rng.uniform(-1.0, 11.0, 2))
                 radius = float(rng.uniform(0.05, 2.5))
                 fast = network.candidate_edges(point, radius)
-                slow = network._candidate_edges_scan(point, radius)
+                slow = candidate_edges_scan(network, point, radius)
                 assert {c[:2] for c in fast} == {c[:2] for c in slow}
                 slow_by_edge = {c[:2]: c[2:] for c in slow}
                 for u, v, distance, fraction in fast:
@@ -62,7 +73,7 @@ class TestSpatialIndex:
             for _ in range(200):
                 point = tuple(rng.uniform(-1.0, 11.0, 2))
                 fast = network.nearest_node(point)
-                slow = network._nearest_node_scan(point)
+                slow = nearest_node_scan(network, point)
                 if fast != slow:  # only acceptable on exact ties
                     fx, fy = network.position(fast)
                     sx, sy = network.position(slow)
@@ -136,7 +147,7 @@ class TestVectorizedViterbi:
                                     beta=0.5, candidate_radius=1.0)
             for _, trajectory in trips:
                 assert matcher.match(trajectory) == \
-                    matcher._match_reference(trajectory)
+                    match_reference(matcher, trajectory)
 
     def test_bounded_equals_unbounded_cutoff(self, fleet):
         network, generator = fleet
@@ -188,6 +199,174 @@ class TestVectorizedViterbi:
         assert matcher.cache_info()["hits"] == hits_before + 1
 
 
+def outcome(function, *args):
+    """A call's result, or the message of the ValueError it raised."""
+    try:
+        return function(*args)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.fixture(scope="module")
+def geometric_fleet():
+    network = RoadNetwork.random_geometric(120, 1.8,
+                                           rng=np.random.default_rng(3))
+    simulator = TrafficSimulator(network, rng=np.random.default_rng(4))
+    generator = TrajectoryGenerator(simulator,
+                                    rng=np.random.default_rng(5))
+    return network, generator
+
+
+class TestWholeTrajectoryKernel:
+    """The batched matcher against the per-point oracle and lookup."""
+
+    @staticmethod
+    def assert_equals_per_point(network, points, radius, k):
+        edge, distance, fraction = network.candidate_arrays(points,
+                                                            radius, k)
+        assert edge.shape == distance.shape == fraction.shape == \
+            (len(points), k)
+        edges = network.edge_arrays()[0]
+        for t, point in enumerate(points):
+            expected = network.candidate_edges(point, radius)[:k]
+            found = [
+                (*edges[e], float(d), float(f))
+                for e, d, f in zip(edge[t], distance[t], fraction[t])
+                if e >= 0
+            ]
+            assert found == expected
+            assert (edge[t, len(expected):] == -1).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["grid", "random_geometric"]),
+           k=st.integers(1, 9))
+    def test_candidate_arrays_equal_per_point_lookup(self, seed, kind, k):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            network = RoadNetwork.grid(int(rng.integers(2, 9)),
+                                       int(rng.integers(2, 9)),
+                                       spacing=float(rng.uniform(0.5, 1.5)))
+        else:
+            network = RoadNetwork.random_geometric(60, 2.0, rng=rng)
+        nodes = network.nodes()
+        xy = np.array([network.position(node) for node in nodes])
+        # Points spill past the bounding box, and some sit exactly on
+        # nodes, where every incident edge ties at distance 0.
+        points = [tuple(rng.uniform(xy.min(axis=0) - 2.0,
+                                    xy.max(axis=0) + 2.0))
+                  for _ in range(int(rng.integers(1, 30)))]
+        points += [network.position(nodes[i])
+                   for i in rng.integers(0, len(nodes), 5)]
+        radius = float(rng.uniform(0.05, 2.5))
+        self.assert_equals_per_point(network, points, radius, k)
+
+    def test_node_ties_truncate_in_edge_order(self):
+        network = RoadNetwork.grid(5, 5)
+        node = network.position((2, 2))
+        ties = [c for c in network.candidate_edges(node, 0.5)
+                if c[2] == 0.0]
+        assert len(ties) == 8
+        for k in (1, 3, 7):
+            self.assert_equals_per_point(network, [node, (1.5, 2.0)],
+                                         0.5, k)
+
+    def test_points_outside_bounding_box(self):
+        network = RoadNetwork.grid(4, 4)
+        points = [(-0.3, 1.0), (3.2, 3.2), (50.0, -50.0), (1.0, 1.0)]
+        self.assert_equals_per_point(network, points, 0.5, 4)
+        edge, _, _ = network.candidate_arrays(points, 0.5, 4)
+        assert (edge[2] == -1).all()
+
+    @pytest.mark.parametrize("options", [
+        {}, {"max_candidates": 2}, {"beta_cutoff": None},
+    ])
+    def test_match_equals_reference_on_both_networks(
+            self, options, fleet, geometric_fleet):
+        for network, generator in (fleet, geometric_fleet):
+            trips = generator.generate(5, noise_sigma=0.1,
+                                       sample_interval=0.4, min_hops=5)
+            matcher = HmmMapMatcher(network, sigma=0.15, beta=0.5,
+                                    **options)
+            for _, trajectory in trips:
+                assert outcome(matcher.match, trajectory) == \
+                    outcome(match_reference, matcher, trajectory)
+
+    def test_one_lookup_per_distinct_row(self, fleet):
+        network, generator = fleet
+        (_, trajectory), = generator.generate(1, noise_sigma=0.1,
+                                              sample_interval=0.4,
+                                              min_hops=6)
+        matcher = HmmMapMatcher(network, sigma=0.1, beta=0.5)
+        points = [(p.x, p.y) for p in trajectory]
+        rows = {
+            (v, matcher._cutoff_for(math.hypot(b[0] - a[0], b[1] - a[1])))
+            for a, b in zip(points, points[1:])
+            for _, v, _, _ in network.candidate_edges(
+                a, matcher.candidate_radius)[:matcher.max_candidates]
+        }
+        matcher.match(trajectory)
+        info = matcher.cache_info()
+        assert info["hits"] + info["misses"] == len(rows)
+
+    def test_match_many_leaves_network_fingerprint_and_pickle(self, fleet):
+        _, generator = fleet
+        trips = generator.generate(4, noise_sigma=0.1,
+                                   sample_interval=0.4, min_hops=4)
+        network = RoadNetwork.grid(8, 8)  # same map, cold indexes
+        before = (fingerprint(network), pickle.dumps(network))
+        HmmMapMatcher(network, sigma=0.1, beta=0.5).match_many(
+            [trajectory for _, trajectory in trips])
+        # The lazy indexes, edge arrays included, are warm now ...
+        assert network._geometry_snapshot and network._adjacency_cache
+        # ... and still leave no trace in the content identity.
+        assert (fingerprint(network), pickle.dumps(network)) == before
+
+
+class TestDegenerateTraces:
+    @pytest.fixture(autouse=True)
+    def runtime_warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_non_finite_coordinate_names_the_point(self, bad):
+        trajectory = Trajectory([(0.0, 0.0, 0.0), (1.0, 0.1, 1.0),
+                                 (*bad, 2.0), (2.0, 1.0, 3.0)])
+        matcher = HmmMapMatcher(RoadNetwork.grid(4, 4), sigma=0.2)
+        with pytest.raises(ValueError,
+                           match="point 2 has a non-finite coordinate"):
+            matcher.match(trajectory)
+
+    @pytest.mark.parametrize("points", [
+        [], [(1.0, 2.0, 3.0)], (1.0, 2.0),
+    ])
+    def test_candidate_arrays_rejects_malformed_points(self, points):
+        with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
+            RoadNetwork.grid(3, 3).candidate_arrays(points, 0.5, 2)
+
+    def test_off_map_point_mid_trace_names_its_index(self):
+        trajectory = Trajectory([(0.0, 0.0, 0.0), (1.0, 0.1, 1.0),
+                                 (40.0, 40.0, 2.0), (2.0, 1.0, 3.0)])
+        matcher = HmmMapMatcher(RoadNetwork.grid(4, 4), sigma=0.2)
+        with pytest.raises(ValueError, match="point 2; the trajectory "
+                                             "is off the map"):
+            matcher.match(trajectory)
+
+    def test_network_without_edges(self):
+        graph = nx.DiGraph()
+        graph.add_node("a", pos=(0.0, 0.0))
+        graph.add_node("b", pos=(1.0, 1.0))
+        matcher = HmmMapMatcher(RoadNetwork(graph), sigma=0.2)
+        trajectory = Trajectory([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="point 0; the trajectory "
+                                             "is off the map"):
+            matcher.match(trajectory)
+
+
 def random_histograms(rng, k):
     candidates = []
     for _ in range(k):
@@ -206,7 +385,7 @@ class TestDominanceKernel:
         for _ in range(25):
             candidates = random_histograms(rng, int(rng.integers(2, 48)))
             assert dominance_prune(candidates, order=order) == \
-                _dominance_prune_pairwise(candidates, order=order)
+                dominance_prune_pairwise(candidates, order=order)
 
     def test_fsd_kernel_consistent_with_public_pairwise(self):
         rng = np.random.default_rng(8)

@@ -1,13 +1,14 @@
 """Scenario reduction: exact-W1/DTW distances, forward selection and
 the decision-layer wiring.
 
-Every vectorized kernel is equivalence-gated against its kept
-brute-force oracle (`_wasserstein_pairwise`, the analytics
-``dtw_distance``, `_reduce_reference`), and the degenerate ensemble
-shapes production traffic produces — single candidate, all-identical,
-zero-mass padding bins — go through ``dominance_prune`` /
-``select_best`` / ``reduce_scenarios`` with the safety invariants:
-output ⊆ input, probabilities sum to one, the optimum survives.
+Every vectorized kernel is equivalence-gated against a brute-force
+oracle (``wasserstein_pairwise`` and ``reduce_reference`` in
+``tests/oracles.py``, the analytics ``dtw_distance``), and the
+degenerate ensemble shapes production traffic produces — single
+candidate, all-identical, zero-mass padding bins — go through
+``dominance_prune`` / ``select_best`` / ``reduce_scenarios`` with the
+safety invariants: output ⊆ input, probabilities sum to one, the
+optimum survives.
 """
 
 import pickle
@@ -32,13 +33,10 @@ from repro.decision import (
     wasserstein_distance,
     wasserstein_matrix,
 )
-from repro.decision.reduction import (
-    _reduce_reference,
-    _wasserstein_pairwise,
-)
 from repro.decision.utility import DeadlineUtility
 from repro.governance.uncertainty import EdgeCentricModel, Histogram
 from repro.observability.metrics import use_registry
+from tests.oracles import reduce_reference, wasserstein_pairwise
 
 
 def random_histogram(rng, *, zero_mass=0.0):
@@ -107,7 +105,7 @@ class TestWassersteinMatrix:
         rng = np.random.default_rng(4)
         ensemble = random_ensemble(rng, 25, zero_mass=0.3)
         np.testing.assert_allclose(wasserstein_matrix(ensemble),
-                                   _wasserstein_pairwise(ensemble),
+                                   wasserstein_pairwise(ensemble),
                                    atol=1e-10)
 
     def test_symmetric_zero_diagonal(self):
@@ -159,8 +157,8 @@ class TestForwardSelection:
                 list(range(n)), k, probabilities=weights,
                 distance_matrix=distance)
             assert list(reduction.indices) == \
-                sorted(_reduce_reference(distance.tolist(),
-                                         weights.tolist(), k))
+                sorted(reduce_reference(distance.tolist(),
+                                        weights.tolist(), k))
 
     def test_invariants(self):
         rng = np.random.default_rng(8)
