@@ -54,7 +54,7 @@ from .datatypes import (
 from .observability import MetricsRegistry, SpanTracer
 from .serve import DecisionServer
 
-__version__ = "1.0.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "CollectingTracer",

@@ -18,6 +18,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability_vector",
+    "check_timeseries",
     "ensure_rng",
     "trapezoid",
 ]
@@ -114,3 +115,17 @@ def ensure_rng(seed_or_rng):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def check_timeseries(series):
+    """Return ``series`` if it is a :class:`~repro.datatypes.TimeSeries`.
+
+    Raises ``TypeError`` naming the type actually given, so every
+    consumer rejects a bare ndarray or list the same way.
+    """
+    from .datatypes import TimeSeries  # datatypes imports this module
+
+    if not isinstance(series, TimeSeries):
+        raise TypeError(
+            f"expected a TimeSeries, got {type(series).__name__}")
+    return series

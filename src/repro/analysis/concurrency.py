@@ -574,7 +574,7 @@ def check_unguarded_rmw(cls, module):
                 f"{cls.name}.{name}() updates {pair} outside "
                 f"self.{_lock_of(cls, pair[0])}: the read and the "
                 "write are not atomic, so a concurrent update in "
-                "between is lost (the _publish_cache_metrics bug "
+                "between is lost (the metrics-flush watermark bug "
                 "shape) -- move the read-modify-write under the lock",
                 stage=cls.name)
 

@@ -18,8 +18,7 @@ import abc
 
 import numpy as np
 
-from ..._validation import check_positive
-from ...datatypes import TimeSeries
+from ..._validation import check_positive, check_timeseries
 
 __all__ = ["Forecaster", "rolling_origin_evaluation"]
 
@@ -49,11 +48,7 @@ class Forecaster(abc.ABC):
 
     @staticmethod
     def _validate_series(series):
-        if not isinstance(series, TimeSeries):
-            raise TypeError(
-                f"expected a TimeSeries, got {type(series).__name__}"
-            )
-        if not series.is_complete():
+        if not check_timeseries(series).is_complete():
             raise ValueError(
                 "forecasters require complete data; run governance "
                 "imputation first (this is the pipeline's job)"

@@ -22,7 +22,6 @@ churn is visible next to the engine metrics.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..._validation import check_positive
 
@@ -55,6 +54,10 @@ class KsDriftDetector:
         recent = np.asarray(recent, dtype=float).ravel()
         if len(recent) < 5:
             raise ValueError("recent needs at least 5 observations")
+        # Imported here: scipy.stats alone costs ~0.5 s of a cold
+        # ``import repro``, and only this test needs it.
+        from scipy import stats
+
         statistic = stats.ks_2samp(self.reference, recent)
         return bool(statistic.pvalue < self.p_threshold), float(
             statistic.pvalue)

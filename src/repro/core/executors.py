@@ -12,8 +12,9 @@ run; an :class:`Executor` decides *where*.  Three backends ship:
   through ``multiprocessing.shared_memory`` segments negotiated from
   the stage's declared ``reads``/``writes`` contract.
 * :class:`SerialExecutor` — everything inline in the calling thread,
-  in deterministic topological order.  The debugging backend: plain
-  stack traces, no pools, no interleaving.
+  one stage at a time in the pipeline's (layer-major) list order.
+  The debugging backend: plain stack traces, no pools, no
+  interleaving.
 
 Select one per run with ``DecisionPipeline.run(executor=...)`` — an
 instance, a name (``"serial"`` / ``"thread"`` / ``"process"``), or
@@ -47,11 +48,11 @@ stage instead.
 
 Worker-side telemetry is not lost: each attempt runs against a fresh
 worker :class:`~repro.observability.MetricsRegistry` whose snapshot
-(and any worker-emitted events) is shipped back with the result and
-merged into the parent registry, so ``engine.*`` series — contract
-violations included — stay complete, and the parent-side runner still
-emits every lifecycle event, so :class:`~repro.observability.SpanTracer`
-trees are identical across backends.
+is shipped back with the result and merged into the parent registry,
+so ``engine.*`` series — contract violations included — stay
+complete, and the parent-side runner emits every lifecycle event, so
+:class:`~repro.observability.SpanTracer` trees are identical across
+backends.
 """
 
 from __future__ import annotations
@@ -60,11 +61,16 @@ import collections
 import os
 import pickle
 import threading
-import time
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
-from .stage import ContractViolation, StageCancelled, StageTimeout, _ContractView
+from .stage import (
+    ContractViolation,
+    StageCancelled,
+    StageTimeout,
+    _ContractView,
+    _RunControl,
+)
 
 __all__ = [
     "Executor",
@@ -214,25 +220,6 @@ def _attach(handle):
 # The worker-side attempt
 # ---------------------------------------------------------------------------
 
-class _WorkerControl:
-    """Deadline enforcement inside a worker attempt.
-
-    The parent cannot cooperatively interrupt another process, so it
-    ships the run's remaining deadline budget instead; the view's
-    checkpoint raises :class:`StageCancelled` once it is spent, which
-    travels back as a ``cancelled`` result.
-    """
-
-    def __init__(self, budget):
-        self._expires = (None if budget is None
-                         else time.perf_counter() + float(budget))
-
-    def checkpoint(self, stage_name):
-        if (self._expires is not None
-                and time.perf_counter() > self._expires):
-            raise StageCancelled(stage_name, "run deadline exceeded")
-
-
 def _remote_attempt(request):
     """Execute one stage attempt in a worker process.
 
@@ -254,13 +241,12 @@ def _remote_attempt(request):
             array, segment = _attach(handle)
             state[key] = array
             segments.append(segment)
-        control = _WorkerControl(request["budget"])
-        view = _ContractView(state, spec, threading.RLock(), control)
+        view = _ContractView(state, spec, threading.RLock(),
+                             _RunControl(request["budget"]))
         try:
             outcome = request["function"](view)
-            if view.timed_out():
-                raise StageTimeout(spec.name, spec.timeout)
-            delta, deleted = dict(view._writes), sorted(view._deleted)
+            view.check_timeout()
+            delta, deleted = view.delta()
             result = {"ok": True, "outcome": outcome, "delta": delta,
                       "deleted": deleted}
         except ContractViolation as exc:
@@ -277,7 +263,6 @@ def _remote_attempt(request):
                       "message": str(exc),
                       "traceback": traceback.format_exc()}
         result["metrics"] = registry.snapshot()
-        result["events"] = []
         try:
             return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -289,7 +274,7 @@ def _remote_attempt(request):
                     f"cross the process boundary ({exc}); keys written: "
                     f"{written} -- run this stage on the thread or "
                     "serial backend, or make its outputs picklable"),
-                "metrics": registry.snapshot(), "events": [],
+                "metrics": registry.snapshot(),
             }, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         set_registry(previous)
@@ -311,8 +296,8 @@ class Executor:
     """Where stage attempts run.  Subclasses override :meth:`begin_run`.
 
     ``concurrent`` tells the scheduler whether independent stages may
-    be in flight simultaneously; a backend with ``concurrent=False``
-    gets the deterministic topological-order path.
+    be in flight simultaneously; with ``concurrent=False`` the
+    scheduling loop runs inline, one stage at a time in list order.
     """
 
     kind = "base"
@@ -350,7 +335,7 @@ class _Session:
 
 
 class SerialExecutor(Executor):
-    """Everything inline in the calling thread, topological order.
+    """Everything inline in the calling thread, in list order.
 
     The debugging backend: no pools, no interleaving, plain stack
     traces — and byte-identical results to the parallel backends for
@@ -399,19 +384,18 @@ class ThreadExecutor(Executor):
 # The process backend
 # ---------------------------------------------------------------------------
 
-class _ProcessSession(_Session):
+class _ProcessSession(_ThreadSession):
     """One run on the process backend.
 
     Orchestration (retries, policies, events, commits) stays on parent
-    threads; only the stage-function attempt crosses to the worker
-    pool.  The session owns the run's shared-memory arena and the
-    pre-flight verdict for every stage.
+    threads of the inherited pool; only the stage-function attempt
+    crosses to the worker processes.  The session owns the run's
+    shared-memory arena and the pre-flight verdict for every stage.
     """
 
     def __init__(self, executor, stages, workers, metrics):
+        super().__init__(workers)
         self._executor = executor
-        self._stages = stages
-        self._pool = ThreadPoolExecutor(max_workers=workers)
         self._arena = _ShmArena()
         self._metrics = metrics
         self.remote_stages, self.local_reasons = executor.preflight(stages)
@@ -429,9 +413,6 @@ class _ProcessSession(_Session):
                 "Bytes of ndarray input published to shared memory")
         else:
             self._m_remote = self._m_shared = None
-
-    def submit(self, fn, *args):
-        return self._pool.submit(fn, *args)
 
     # -- remote attempt ------------------------------------------------------
 
@@ -455,7 +436,7 @@ class _ProcessSession(_Session):
 
     def run_attempt(self, index, stage, state, lock, control, attempt):
         """Ship one attempt to a worker; returns
-        ``(outcome, delta, deleted, events)`` or raises the
+        ``(outcome, delta, deleted)`` or raises the
         reconstructed stage exception.  Worker metrics are merged into
         the parent registry before either outcome."""
         inputs, shared = self._gather_inputs(stage, state, lock)
@@ -476,8 +457,7 @@ class _ProcessSession(_Session):
         if self._metrics is not None and result.get("metrics"):
             self._metrics.merge_snapshot(result["metrics"])
         if result["ok"]:
-            return (result["outcome"], result["delta"],
-                    result["deleted"], result.get("events", ()))
+            return result["outcome"], result["delta"], result["deleted"]
         kind = result["kind"]
         if kind == "timeout":
             raise StageTimeout(stage.name, stage.timeout or 0.0)
@@ -508,7 +488,7 @@ class _ProcessSession(_Session):
                     "backend") from exc
 
     def finish(self):
-        self._pool.shutdown(wait=True)
+        super().finish()
         self._arena.close()
 
 

@@ -43,7 +43,7 @@ from . import dag as _dag
 from .events import emit
 from .executors import resolve_executor
 from .report import RunReport
-from .scheduler import DagScheduler
+from .scheduler import execute_dag
 from .stage import Stage
 
 __all__ = ["DecisionPipeline"]
@@ -81,16 +81,14 @@ def _execute_run(title, stages, deps, state, *, cache=None,
     profiler = RunProfiler().start() if profile else None
     emit(tracer, "run_start", stages=len(stages), run_id=run_id,
          executor=executor.kind, **dict(run_data or {}))
-    scheduler = DagScheduler(max_workers=max_workers)
     run_status = "ok"
     try:
-        scheduler.execute(stages, deps, state, report,
-                          cache=cache, tracer=tracer,
-                          deadline=deadline,
-                          copy_on_read=copy_on_read,
-                          metrics=metrics, profiler=profiler,
-                          executor=executor, run_id=run_id,
-                          cache_keys=cache_keys)
+        execute_dag(stages, deps, state, report, cache=cache,
+                    tracer=tracer, deadline=deadline,
+                    copy_on_read=copy_on_read, metrics=metrics,
+                    profiler=profiler, executor=executor,
+                    run_id=run_id, cache_keys=cache_keys,
+                    max_workers=max_workers)
     except RunDeadlineExceeded:
         run_status = "deadline_exceeded"
         raise

@@ -1,8 +1,8 @@
-"""The DAG scheduler: concurrent stage execution with failure policies.
+"""The DAG scheduler: one loop for every backend and DAG shape.
 
-Given stages and their resolved dependencies, the scheduler runs
-every stage whose dependencies are satisfied.  *When* a stage may run
-is decided here, over a backend-agnostic
+Given stages and their resolved dependencies, :func:`execute_dag`
+runs every stage whose dependencies are satisfied.  *When* a stage
+may run is decided by one loop over a backend-agnostic
 :class:`~repro.core.dag.Frontier`; *where* its attempts run is
 delegated to a pluggable :class:`~repro.core.executors.Executor` —
 threads by default (right for I/O-bound and GIL-releasing numpy
@@ -12,11 +12,15 @@ backoff, failure policies, commits, events, cache replay) happens on
 the parent's threads, so traces, metrics and reports are identical
 across backends.
 
-Chain-shaped DAGs — which every legacy wildcard-contract pipeline
-resolves to — are detected and executed inline in the calling
-thread: identical semantics to the old for-loop, zero pool overhead.
-(A non-``concurrent`` backend such as ``SerialExecutor`` forces the
-same deterministic topological-order path for any DAG shape.)
+The loop runs in one of two modes.  A *concurrent* run submits every
+ready stage to the backend's session at once.  An *inline* run —
+a non-``concurrent`` backend such as ``SerialExecutor``, a single
+stage, or a chain-shaped DAG, which every legacy wildcard-contract
+pipeline resolves to — has at most one stage in flight: it takes the
+lowest ready index and runs it in the calling thread, with zero pool
+overhead.  Lowest-ready-first over the layer-major stage order is
+exactly list order, so an inline run's records, events and abort
+bookkeeping follow the pipeline's declaration order.
 
 Execution is *transactional*: each attempt runs against a buffering
 :class:`~repro.core.stage._ContractView` and its writes (including
@@ -63,15 +67,14 @@ slow, flaky or hung stages.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 
 from . import cache as _cache
 from . import dag as _dag
 from . import executors as _executors
-from .events import StageEvent, emit
+from .events import emit
 from .faults import attempt_jitter
 from .stage import (
     ContractViolation,
@@ -80,163 +83,112 @@ from .stage import (
     StageFailure,
     StageTimeout,
     _ContractView,
+    _RunControl,
 )
 
-__all__ = ["DagScheduler"]
+__all__ = ["execute_dag"]
 
 #: Upper bound on a single backoff sleep, seconds.
 BACKOFF_CAP = 2.0
 
 
-class _RunControl:
-    """Shared cancellation and deadline state for one run.
+def execute_dag(stages, deps, state, report, *, cache=None, tracer=None,
+                deadline=None, copy_on_read=False, metrics=None,
+                profiler=None, executor=None, run_id=None,
+                cache_keys=None, max_workers=None):
+    """Run all stages; mutates ``state`` and ``report`` in place.
 
-    ``cancel(reason)`` flips the run into a cancelled state (first
-    reason wins); ``checkpoint(stage)`` is called by every state
-    access and raises :class:`StageCancelled` once cancelled, making
-    every stage's state traffic a cooperative cancellation point.
+    ``executor`` selects the backend (an
+    :class:`~repro.core.executors.Executor`, a name, or ``None`` for
+    the environment default); ``run_id`` seeds deterministic
+    per-attempt jitter.  ``cache_keys`` (one key or ``None`` per
+    stage) overrides content-keying entirely — streaming sessions
+    pass precomputed replay/execute keys so no fingerprinting of the
+    initial state ever happens on the tick path.
     """
-
-    def __init__(self, deadline=None):
-        self._started = time.perf_counter()
-        self._deadline_at = (None if deadline is None
-                             else self._started + float(deadline))
-        self._cancelled = threading.Event()
-        self._reason_lock = threading.Lock()  # noqa: RC034 -- per-run cancellation state; never crosses a process
-        self.reason = None
-
-    def cancel(self, reason):
-        with self._reason_lock:
-            if self.reason is None:
-                self.reason = str(reason)
-        self._cancelled.set()
-
-    @property
-    def cancelled(self):
-        return self._cancelled.is_set()
-
-    def deadline_exceeded(self):
-        return (self._deadline_at is not None
-                and time.perf_counter() > self._deadline_at)
-
-    def remaining(self):
-        """Seconds left in the run budget (``None`` = unbounded)."""
-        if self._deadline_at is None:
-            return None
-        return max(0.0, self._deadline_at - time.perf_counter())
-
-    def checkpoint(self, stage_name):
-        if not self.cancelled and self.deadline_exceeded():
-            self.cancel("run deadline exceeded")
-        if self.cancelled:
-            raise StageCancelled(stage_name, self.reason)
-
-
-class DagScheduler:
-    """Executes a resolved stage DAG against a shared state dict."""
-
-    def __init__(self, max_workers=None):
-        self.max_workers = max_workers
-
-    def execute(self, stages, deps, state, report, *, cache=None,
-                tracer=None, deadline=None, copy_on_read=False,
-                metrics=None, profiler=None, executor=None,
-                run_id=None, cache_keys=None):
-        """Run all stages; mutates ``state`` and ``report`` in place.
-
-        ``executor`` selects the backend (an
-        :class:`~repro.core.executors.Executor`, a name, or ``None``
-        for the environment default); ``run_id`` seeds deterministic
-        per-attempt jitter.  ``cache_keys`` (one key or ``None`` per
-        stage) overrides content-keying entirely — streaming sessions
-        pass precomputed replay/execute keys so no fingerprinting of
-        the initial state ever happens on the tick path.
-        """
-        executor = _executors.resolve_executor(executor)
-        lock = threading.RLock()
-        control = _RunControl(deadline)
-        if cache_keys is not None:
-            keys = list(cache_keys)
-            if len(keys) != len(stages):
-                raise ValueError(
-                    f"cache_keys has {len(keys)} entries for "
-                    f"{len(stages)} stages")
-        else:
-            keys = (_cache.stage_keys(stages, deps, state)
-                    if cache is not None else [None] * len(stages))
-        session = executor.begin_run(stages,
-                                     max_workers=self.max_workers,
-                                     metrics=metrics)
-        try:
-            run = _StageRunner(stages, state, report, lock, cache,
-                               keys, tracer, control,
-                               copy_on_read=copy_on_read,
-                               metrics=metrics, profiler=profiler,
-                               session=session, run_id=run_id)
-            if (not executor.concurrent or len(stages) <= 1
-                    or _dag.is_chain(deps)):
-                run.serial = True
-                self._execute_chain(stages, run)
-                return
-            self._execute_concurrent(stages, deps, run, control,
-                                     session)
-        finally:
-            session.finish()
-
-    def _execute_chain(self, stages, run):
-        for index in range(len(stages)):
-            run.mark_ready(index)
-            try:
-                run(index)
-            except BaseException:
-                self._record_cancelled(stages,
-                                       range(index + 1, len(stages)),
-                                       run)
-                raise
-
-    def _execute_concurrent(self, stages, deps, run, control, session):
+    executor = _executors.resolve_executor(executor)
+    control = _RunControl(deadline)
+    if cache_keys is not None:
+        keys = list(cache_keys)
+        if len(keys) != len(stages):
+            raise ValueError(
+                f"cache_keys has {len(keys)} entries for "
+                f"{len(stages)} stages")
+    else:
+        keys = (_cache.stage_keys(stages, deps, state)
+                if cache is not None else [None] * len(stages))
+    inline = (not executor.concurrent or len(stages) <= 1
+              or _dag.is_chain(deps))
+    session = executor.begin_run(stages, max_workers=max_workers,
+                                 metrics=metrics)
+    try:
+        run = _StageRunner(stages, state, report, threading.RLock(),
+                           cache, keys, tracer, control, session,
+                           copy_on_read=copy_on_read, metrics=metrics,
+                           profiler=profiler, run_id=run_id,
+                           inline=inline)
         frontier = _dag.Frontier(deps)
+        ready = frontier.take_ready()
         failures = []
         futures = {}
-        for i in frontier.take_ready():
-            run.mark_ready(i)
-            futures[session.submit(run, i)] = i
-        while futures:
+        while True:
+            while ready and not (failures or control.cancelled
+                                 or (inline and futures)):
+                index = min(ready)
+                ready.remove(index)
+                run.mark_ready(index)
+                future = (_call_inline(run, index) if inline
+                          else session.submit(run, index))
+                futures[future] = index
+            if not futures:
+                break
             done, _ = wait(futures, return_when=FIRST_COMPLETED)
             for future in done:
                 index = futures.pop(future)
                 error = future.exception()
                 if error is not None:
                     failures.append(error)
-                    # Cancel every other in-flight stage: their
-                    # next state access aborts the attempt, and
-                    # nothing they did so far was committed.
+                    # Cancel every other in-flight stage: their next
+                    # state access aborts the attempt, and nothing
+                    # they did so far was committed.
                     control.cancel(
-                        f"stage {stages[index].name!r} aborted "
-                        "the run")
+                        f"stage {stages[index].name!r} aborted the run")
                 for j in frontier.complete(index):
                     if not failures and not control.cancelled:
                         frontier.claim(j)
-                        run.mark_ready(j)
-                        futures[session.submit(run, j)] = j
-        unrun = frontier.unstarted()
+                        ready.append(j)
+        # Ready stages an abort kept from starting are claimed but
+        # never ran; together with the unclaimed ones they get an
+        # audit-trail record each.
+        unrun = sorted(ready + frontier.unstarted())
+        for j in unrun:
+            run.record_cancelled(stages[j], "run aborted")
         if failures:
-            self._record_cancelled(stages, unrun, run)
             primary = failures[0]
             if isinstance(primary, StageFailure):
                 primary.secondary = failures[1:]
             raise primary
         if control.cancelled:
-            self._record_cancelled(stages, unrun, run)
             raise RunDeadlineExceeded(
                 f"run deadline expired with {len(unrun)} stage(s) "
-                "unexecuted",
-                report=run.report, state=run.state)
+                "unexecuted", report=report, state=state)
+    finally:
+        session.finish()
 
-    def _record_cancelled(self, stages, indices, run):
-        """Audit-trail records for stages the abort kept from running."""
-        for j in indices:
-            run.record_cancelled(stages[j], "run aborted")
+
+def _call_inline(run, index):
+    """Run one stage in the calling thread; a finished future.
+
+    Like a pool worker, it stores any exception — interrupts included
+    — in the future; the loop re-raises it after the abort
+    bookkeeping.
+    """
+    future = Future()
+    try:
+        future.set_result(run(index))
+    except BaseException as exc:
+        future.set_exception(exc)
+    return future
 
 
 class _StageRunner:
@@ -250,8 +202,8 @@ class _StageRunner:
     """
 
     def __init__(self, stages, state, report, lock, cache, keys,
-                 tracer, control, *, copy_on_read=False, metrics=None,
-                 profiler=None, session=None, run_id=None):
+                 tracer, control, session, *, copy_on_read=False,
+                 metrics=None, profiler=None, run_id=None, inline=False):
         self._stages = stages
         self.state = state
         self.report = report
@@ -260,14 +212,13 @@ class _StageRunner:
         self._keys = keys
         self._tracer = tracer
         self._control = control
+        self._session = session
         self._copy_on_read = copy_on_read
         self._inject = getattr(tracer, "inject", None)
         self._profiler = profiler
-        self._session = (session if session is not None
-                         else _executors._Session())
         self._run_id = "" if run_id is None else str(run_id)
+        self._inline = inline
         self._ready = {}
-        self.serial = False
         if metrics is not None:
             self._m_attempts = metrics.counter(
                 "engine.stage_attempts_total",
@@ -306,14 +257,6 @@ class _StageRunner:
             return 0.0
         return max(0.0, time.perf_counter() - ready_at)
 
-    def _count_outcome(self, stage, status):
-        if self._m_outcomes is not None:
-            self._m_outcomes.inc(stage=stage.name, status=status)
-
-    def _observe_duration(self, stage, seconds):
-        if self._m_duration is not None:
-            self._m_duration.observe(seconds, stage=stage.name)
-
     def __call__(self, index):
         stage = self._stages[index]
         queue_wait = self._take_queue_wait(index)
@@ -331,7 +274,7 @@ class _StageRunner:
             self._m_queue_wait.observe(queue_wait, stage=stage.name)
         token = (self._profiler.stage_begin(stage.name, stage.layer,
                                             queue_wait,
-                                            serial=self.serial)
+                                            serial=self._inline)
                  if self._profiler is not None else None)
         try:
             self._run_stage(index, stage)
@@ -374,40 +317,23 @@ class _StageRunner:
             return
 
     def _attempt(self, index, stage, view, attempt):
-        """One bounded attempt: inject faults, run, enforce timeout."""
+        """One bounded attempt: inject faults, run, enforce timeout.
+
+        A remote attempt ships to the backend's workers and its
+        returned delta is grafted into this attempt's view, so
+        commit, rollback, retries and cache storage behave exactly as
+        for an in-process attempt.
+        """
         if self._inject is not None:
             self._inject(stage.name, attempt)
         if self._session.remote(index):
-            return self._remote_attempt(index, stage, view, attempt)
-        outcome = stage.function(view)
-        # An attempt that returns over budget is as timed out as one
-        # caught mid-flight: it must not commit.
-        if view.timed_out():
-            raise StageTimeout(stage.name, stage.timeout)
-        return outcome
-
-    def _remote_attempt(self, index, stage, view, attempt):
-        """Ship the attempt to the backend's workers and graft the
-        returned delta into this attempt's transactional buffers, so
-        commit, rollback, retries and cache storage behave exactly as
-        for an in-process attempt."""
-        outcome, delta, deleted, events = self._session.run_attempt(
-            index, stage, self.state, self._lock, self._control,
-            attempt)
-        for payload in events:
-            if self._tracer is not None:
-                with contextlib.suppress(Exception):
-                    self._tracer.on_event(StageEvent.from_dict(payload))
-        for key, value in delta.items():
-            view._writes[key] = value
-            view._deleted.discard(key)
-            view.written.add(key)
-        for key in deleted:
-            view._writes.pop(key, None)
-            view._deleted.add(key)
-            view.written.add(key)
-        if view.timed_out():
-            raise StageTimeout(stage.name, stage.timeout)
+            outcome, delta, deleted = self._session.run_attempt(
+                index, stage, self.state, self._lock, self._control,
+                attempt)
+            view.graft(delta, deleted)
+        else:
+            outcome = stage.function(view)
+        view.check_timeout()
         return outcome
 
     def _backoff(self, stage, attempt):
@@ -431,26 +357,32 @@ class _StageRunner:
 
     # -- outcomes ------------------------------------------------------------
 
-    def record_cancelled(self, stage, why):
-        emit(self._tracer, "stage_cancelled", stage.name, stage.layer,
-             reason=why)
-        self._count_outcome(stage, "cancelled")
+    def _record(self, stage, status, summary, seconds, event=None,
+                **fields):
+        """The one terminal-outcome path: emit ``event`` (a
+        ``(kind, data)`` pair, if any), count the outcome, observe the
+        duration (cancelled stages have none) and add the record."""
+        if event is not None:
+            kind, data = event
+            emit(self._tracer, kind, stage.name, stage.layer, **data)
+        if self._m_outcomes is not None:
+            self._m_outcomes.inc(stage=stage.name, status=status)
+        if self._m_duration is not None and status != "cancelled":
+            self._m_duration.observe(seconds, stage=stage.name)
         with self._lock:
-            self.report.add(stage.layer, stage.name,
-                             f"cancelled: {why}", 0.0,
-                             status="cancelled", error=str(why))
+            self.report.add(stage.layer, stage.name, summary, seconds,
+                            **{"status": status, **fields})
+
+    def record_cancelled(self, stage, why, seconds=0.0, **fields):
+        self._record(stage, "cancelled", f"cancelled: {why}", seconds,
+                     ("stage_cancelled", {"reason": why}),
+                     error=str(why), **fields)
 
     def _record_run_cancelled(self, stage, view, attempts):
         reason = self._control.reason or "cancelled"
-        emit(self._tracer, "stage_cancelled", stage.name, stage.layer,
-             reason=reason)
-        self._count_outcome(stage, "cancelled")
-        with self._lock:
-            self.report.add(stage.layer, stage.name,
-                             f"cancelled: {reason}", view.elapsed(),
-                             status="cancelled", retries=attempts,
-                             error=reason)
-        if self._control.reason == "run deadline exceeded":
+        self.record_cancelled(stage, reason, view.elapsed(),
+                              retries=attempts)
+        if reason == "run deadline exceeded":
             raise RunDeadlineExceeded(
                 f"run deadline expired during stage {stage.name!r}",
                 report=self.report, state=self.state)
@@ -469,33 +401,22 @@ class _StageRunner:
             for k in deleted:
                 self.state.pop(k, None)
         elapsed = time.perf_counter() - started
-        emit(self._tracer, "cache_hit", stage.name, stage.layer)
         if self._m_replays is not None:
             self._m_replays.inc(stage=stage.name)
-        self._count_outcome(stage, "ok")
-        self._observe_duration(stage, elapsed)
-        with self._lock:
-            self.report.add(stage.layer, stage.name, entry.summary,
-                             elapsed, cache_hit=True, **entry.details)
+        self._record(stage, "ok", entry.summary, elapsed,
+                     ("cache_hit", {}), cache_hit=True, **entry.details)
         return True
 
     def _record_success(self, index, stage, outcome, view, attempts):
-        if isinstance(outcome, tuple):
-            summary, details = outcome
-        else:
-            summary, details = outcome, {}
+        summary, details = _split(outcome)
         elapsed = view.elapsed()
         delta, deleted = view.commit()
         key = self._keys[index]
         if self._cache is not None and key is not None:
             self._cache.store(key, summary, details, delta, deleted)
-        emit(self._tracer, "stage_end", stage.name, stage.layer,
-             seconds=elapsed)
-        self._count_outcome(stage, "ok")
-        self._observe_duration(stage, elapsed)
-        with self._lock:
-            self.report.add(stage.layer, stage.name, summary, elapsed,
-                             retries=attempts, **dict(details))
+        self._record(stage, "ok", summary, elapsed,
+                     ("stage_end", {"seconds": elapsed}),
+                     retries=attempts, **dict(details))
 
     def _apply_policy(self, stage, exc, elapsed, attempts):
         timed_out = isinstance(exc, StageTimeout)
@@ -503,32 +424,27 @@ class _StageRunner:
         emit(self._tracer, kind, stage.name, stage.layer,
              error=str(exc), retries=attempts)
         if stage.on_error == "skip":
-            emit(self._tracer, "stage_skip", stage.name, stage.layer)
-            self._count_outcome(stage, "skipped")
-            self._observe_duration(stage, elapsed)
-            with self._lock:
-                self.report.add(stage.layer, stage.name,
-                                 f"skipped: {exc}", elapsed,
-                                 status="skipped", retries=attempts,
-                                 error=str(exc))
+            self._record(stage, "skipped", f"skipped: {exc}", elapsed,
+                         ("stage_skip", {}), retries=attempts,
+                         error=str(exc))
             return
         if stage.on_error == "fallback":
             self._run_fallback(stage, exc, elapsed, attempts)
             return
         status = "timed_out" if timed_out else "failed"
-        self._count_outcome(stage, status)
-        self._observe_duration(stage, elapsed)
-        with self._lock:
-            self.report.add(stage.layer, stage.name,
-                             f"{status.replace('_', ' ')}: {exc}",
-                             elapsed, status=status, retries=attempts,
-                             error=str(exc))
-        raise StageFailure(
-            stage.name,
-            f"stage {stage.name!r} {status.replace('_', ' ')} after "
-            f"{attempts + 1} attempt(s): {exc}",
-            report=self.report, state=self.state,
-        ) from exc
+        raise self._fail(stage, status, exc, elapsed, attempts,
+                         f"{status.replace('_', ' ')} after "
+                         f"{attempts + 1} attempt(s): {exc}") from exc
+
+    def _fail(self, stage, status, exc, seconds, attempts, message,
+              event=None):
+        """Record a ``fail``-policy outcome; the run-aborting
+        :class:`StageFailure` for the caller to raise."""
+        self._record(stage, status,
+                     f"{status.replace('_', ' ')}: {exc}", seconds,
+                     event, retries=attempts, error=str(exc))
+        return StageFailure(stage.name, f"stage {stage.name!r} {message}",
+                            report=self.report, state=self.state)
 
     def _run_fallback(self, stage, exc, elapsed, attempts):
         emit(self._tracer, "stage_fallback", stage.name, stage.layer)
@@ -543,33 +459,23 @@ class _StageRunner:
             self._record_run_cancelled(stage, view, attempts)
             return
         except Exception as fallback_exc:
-            total = elapsed + view.elapsed()
-            emit(self._tracer, "stage_error", stage.name, stage.layer,
-                 error=str(fallback_exc), retries=attempts,
-                 fallback=True)
-            self._count_outcome(stage, "failed")
-            self._observe_duration(stage, total)
-            with self._lock:
-                self.report.add(stage.layer, stage.name,
-                                 f"failed: {fallback_exc}", total,
-                                 status="failed", retries=attempts,
-                                 error=str(fallback_exc))
-            raise StageFailure(
-                stage.name,
-                f"stage {stage.name!r} fallback failed: {fallback_exc}",
-                report=self.report, state=self.state,
+            raise self._fail(
+                stage, "failed", fallback_exc, elapsed + view.elapsed(),
+                attempts, f"fallback failed: {fallback_exc}",
+                ("stage_error", {"error": str(fallback_exc),
+                                 "retries": attempts, "fallback": True}),
             ) from fallback_exc
         total = elapsed + view.elapsed()
         view.commit()
-        if isinstance(outcome, tuple):
-            summary, details = outcome
-        else:
-            summary, details = outcome, {}
-        emit(self._tracer, "stage_end", stage.name, stage.layer,
-             seconds=total, status="fallback")
-        self._count_outcome(stage, "fallback")
-        self._observe_duration(stage, total)
-        with self._lock:
-            self.report.add(stage.layer, stage.name, summary, total,
-                             status="fallback", retries=attempts,
-                             error=str(exc), **dict(details))
+        summary, details = _split(outcome)
+        self._record(stage, "fallback", summary, total,
+                     ("stage_end", {"seconds": total,
+                                    "status": "fallback"}),
+                     retries=attempts, error=str(exc), **dict(details))
+
+
+def _split(outcome):
+    """A stage's return value as ``(summary, details)``."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return outcome, {}

@@ -33,6 +33,7 @@ lint time before a run ever starts.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import MutableMapping
 
@@ -281,6 +282,50 @@ class Stage:
         )
 
 
+class _RunControl:
+    """Shared cancellation and deadline state for one run.
+
+    ``cancel(reason)`` flips the run into a cancelled state (first
+    reason wins); ``checkpoint(stage)`` is called by every state
+    access and raises :class:`StageCancelled` once cancelled or once
+    the deadline has passed, making every stage's state traffic a
+    cooperative cancellation point.  A worker process cannot be
+    interrupted from the parent, so the process backend ships the
+    parent's :meth:`remaining` budget and the worker builds its own
+    instance from it; its checkpoints then expire on the same clock.
+    """
+
+    def __init__(self, deadline=None):
+        self._deadline_at = (None if deadline is None
+                             else time.perf_counter() + float(deadline))
+        self._cancelled = threading.Event()
+        self._reason_lock = threading.Lock()  # noqa: RC034 -- per-run state; workers rebuild it from remaining()
+        self.reason = None
+
+    def cancel(self, reason):
+        with self._reason_lock:
+            if self.reason is None:
+                self.reason = str(reason)
+        self._cancelled.set()
+
+    @property
+    def cancelled(self):
+        return self._cancelled.is_set()
+
+    def remaining(self):
+        """Seconds left in the run budget (``None`` = unbounded)."""
+        if self._deadline_at is None:
+            return None
+        return max(0.0, self._deadline_at - time.perf_counter())
+
+    def checkpoint(self, stage_name):
+        if (not self.cancelled and self._deadline_at is not None
+                and time.perf_counter() > self._deadline_at):
+            self.cancel("run deadline exceeded")
+        if self.cancelled:
+            raise StageCancelled(stage_name, self.reason)
+
+
 class _ContractView(MutableMapping):
     """A contract-enforcing, transactional view of the shared state.
 
@@ -338,31 +383,51 @@ class _ContractView(MutableMapping):
         """Cooperative cancellation / timeout check at every access."""
         if self._control is not None:
             self._control.checkpoint(self._stage.name)
-        if (self._timeout_at is not None
-                and time.perf_counter() > self._timeout_at):
-            raise StageTimeout(self._stage.name, self._stage.timeout)
+        self.check_timeout()
 
     def elapsed(self):
         """Seconds since this attempt's view was created."""
         return time.perf_counter() - self._started
 
-    def timed_out(self):
-        """Whether the attempt has outlived its timeout budget."""
-        return (self._timeout_at is not None
-                and time.perf_counter() > self._timeout_at)
+    def check_timeout(self):
+        """Raise :class:`StageTimeout` once the attempt has outlived
+        its timeout budget.  Also called when an attempt returns — in
+        process or in a worker — because an attempt that returns over
+        budget is as timed out as one caught mid-flight: it must not
+        commit."""
+        if (self._timeout_at is not None
+                and time.perf_counter() > self._timeout_at):
+            raise StageTimeout(self._stage.name, self._stage.timeout)
+
+    def delta(self):
+        """The buffered ``(writes, deleted)`` of this attempt: a dict
+        of written values and a frozenset of deleted keys."""
+        return dict(self._writes), frozenset(self._deleted)
+
+    def graft(self, writes, deleted):
+        """Buffer a delta produced elsewhere (a worker process's
+        attempt) as if this view had written it, so commit, rollback,
+        retries and cache storage treat it like a local attempt."""
+        for key, value in writes.items():
+            self._writes[key] = value
+            self._deleted.discard(key)
+            self.written.add(key)
+        for key in deleted:
+            self._writes.pop(key, None)
+            self._deleted.add(key)
+            self.written.add(key)
 
     def commit(self):
         """Atomically apply buffered writes/deletes to shared state.
 
-        Returns ``(writes, deleted)``: the dict of committed values
-        and the frozenset of deleted keys — exactly the replayable
-        delta the cache stores (deletions included as tombstones).
+        Returns :meth:`delta` — exactly the replayable delta the
+        cache stores (deletions included as tombstones).
         """
         with self._lock:
             self._state.update(self._writes)
             for key in self._deleted:
                 self._state.pop(key, None)
-        return dict(self._writes), frozenset(self._deleted)
+        return self.delta()
 
     # -- contract checks ----------------------------------------------------
 

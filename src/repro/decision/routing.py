@@ -26,6 +26,7 @@ import numpy as np
 
 from .._validation import check_positive
 from ..datatypes import RoadNetwork
+from ..observability.metrics import LookupTally
 from .stochastic import select_best
 from .utility import DeadlineUtility, UtilityFunction
 
@@ -109,10 +110,9 @@ class StochasticRouter:
         self._path_memo = OrderedDict()
         self._distribution_memo = OrderedDict()
         self._reduction_memo = OrderedDict()
-        self._memo_hits = 0
-        self._memo_misses = 0
-        self._published_hits = 0
-        self._published_misses = 0
+        self._lookups = LookupTally(
+            "decision.router_memo_lookups_total",
+            "StochasticRouter serving-memo lookups by outcome")
 
     def __getstate__(self):
         """Pickle without the lock or the warm memos (rebuilt lazily)."""
@@ -121,8 +121,6 @@ class StochasticRouter:
         state["_path_memo"] = OrderedDict()
         state["_distribution_memo"] = OrderedDict()
         state["_reduction_memo"] = OrderedDict()
-        state["_memo_hits"] = state["_memo_misses"] = 0
-        state["_published_hits"] = state["_published_misses"] = 0
         return state
 
     def __setstate__(self, state):
@@ -143,9 +141,9 @@ class StochasticRouter:
             value = memo.get(key)
             if value is not None:
                 memo.move_to_end(key)
-                self._memo_hits += 1
+                self._lookups.hit()
             else:
-                self._memo_misses += 1
+                self._lookups.miss()
             return value
 
     def _memo_put(self, memo, key, value):
@@ -157,38 +155,18 @@ class StochasticRouter:
             while len(memo) > self.memo_size:
                 memo.popitem(last=False)
 
-    def _publish_memo_metrics(self):
-        """Flush memo hit/miss deltas to the global metrics registry.
-
-        Called once per served query, not per memo probe, so serving
-        at cache speed never pays for a labeled counter in the loop;
-        the ``decision.router_memo_lookups_total`` series lags the
-        in-flight query by at most one flush.
-        """
-        from ..observability.metrics import get_registry
-
-        with self._memo_lock:
-            hits = self._memo_hits - self._published_hits
-            misses = self._memo_misses - self._published_misses
-            if not hits and not misses:
-                return
-            self._published_hits = self._memo_hits
-            self._published_misses = self._memo_misses
-        counter = get_registry().counter(
-            "decision.router_memo_lookups_total",
-            "StochasticRouter serving-memo lookups by outcome")
-        if hits:
-            counter.inc(hits, outcome="hit")
-        if misses:
-            counter.inc(misses, outcome="miss")
-
     def cache_info(self):
-        """Serving-memo observability: hits, misses and sizes."""
-        self._publish_memo_metrics()
+        """Serving-memo observability: hits, misses and sizes.
+
+        Also flushes the ``decision.router_memo_lookups_total``
+        series, which every served query flushes once.
+        """
+        self._lookups.flush()
+        hits, misses = self._lookups.counts()
         with self._memo_lock:
             return {
-                "hits": self._memo_hits,
-                "misses": self._memo_misses,
+                "hits": hits,
+                "misses": misses,
                 "path_memo_size": len(self._path_memo),
                 "distribution_memo_size": len(self._distribution_memo),
                 "reduction_memo_size": len(self._reduction_memo),
@@ -197,15 +175,11 @@ class StochasticRouter:
 
     def clear_cache(self):
         """Drop the memos (call after mutating network or cost model)."""
-        self._publish_memo_metrics()
         with self._memo_lock:
             self._path_memo.clear()
             self._distribution_memo.clear()
             self._reduction_memo.clear()
-            self._memo_hits = 0
-            self._memo_misses = 0
-            self._published_hits = 0
-            self._published_misses = 0
+        self._lookups.reset()
 
     def _path_distribution(self, path, departure_minute):
         """Content-keyed, departure-windowed distribution lookup.
@@ -312,7 +286,7 @@ class StochasticRouter:
             origin, destination, departure_minute, distributions)
         best, value, _ = select_best(distributions, utility,
                                      prune=prune, reduction=reduction)
-        self._publish_memo_metrics()
+        self._lookups.flush()
         return paths[best], distributions[best], value
 
     def route_many(self, queries, utility, *, prune=True):

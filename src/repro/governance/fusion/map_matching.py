@@ -42,6 +42,7 @@ import numpy as np
 
 from ..._validation import check_positive
 from ...datatypes import RoadNetwork, Trajectory
+from ...observability.metrics import LookupTally
 
 __all__ = ["HmmMapMatcher"]
 
@@ -101,18 +102,15 @@ class HmmMapMatcher:
             distance_cache_size, "distance_cache_size"))
         self._cache_lock = threading.RLock()
         self._distance_cache = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._published_hits = 0
-        self._published_misses = 0
+        self._lookups = LookupTally(
+            "fusion.distance_cache_lookups_total",
+            "HmmMapMatcher distance-LRU lookups by outcome")
 
     def __getstate__(self):
         """Pickle without the lock or the warm LRU (rebuilt lazily)."""
         state = self.__dict__.copy()
         state.pop("_cache_lock", None)
         state["_distance_cache"] = OrderedDict()
-        state["_cache_hits"] = state["_cache_misses"] = 0
-        state["_published_hits"] = state["_published_misses"] = 0
         return state
 
     def __setstate__(self, state):
@@ -149,14 +147,14 @@ class HmmMapMatcher:
                 if cached_cutoff is None or (
                         cutoff is not None and cached_cutoff >= cutoff):
                     self._distance_cache.move_to_end(node)
-                    self._cache_hits += 1
+                    self._lookups.hit()
                     if cutoff is not None and (
                             cached_cutoff is None
                             or cached_cutoff > cutoff):
                         return np.where(distances <= cutoff,
                                         distances, np.inf)
                     return distances
-            self._cache_misses += 1
+            self._lookups.miss()
         distances = self.network.dijkstra_array(node, cutoff=cutoff)
         with self._cache_lock:
             self._distance_cache[node] = (cutoff, distances)
@@ -180,55 +178,23 @@ class HmmMapMatcher:
         exact = straight + self.beta_cutoff * self.beta
         return quantum * math.ceil(exact / quantum)
 
-    def _publish_cache_metrics(self):
-        """Flush hit/miss deltas to the global metrics registry.
-
-        Called once per matched trajectory (not per lookup) so the
-        Dijkstra hot loop never pays for a labeled counter; the
-        ``fusion.distance_cache_lookups_total`` series therefore lags
-        the in-flight trace by at most one flush.
-
-        The delta read and the published-watermark advance happen
-        atomically under the cache lock, so concurrent flushers never
-        double- or under-count a lookup; the (thread-safe) counter
-        increments run outside the lock.
-        """
-        from ...observability.metrics import get_registry
-
-        with self._cache_lock:
-            hits = self._cache_hits - self._published_hits
-            misses = self._cache_misses - self._published_misses
-            if not hits and not misses:
-                return
-            self._published_hits = self._cache_hits
-            self._published_misses = self._cache_misses
-        counter = get_registry().counter(
-            "fusion.distance_cache_lookups_total",
-            "HmmMapMatcher distance-LRU lookups by outcome")
-        if hits:
-            counter.inc(hits, outcome="hit")
-        if misses:
-            counter.inc(misses, outcome="miss")
-
     def cache_info(self):
-        """Distance-cache observability: hits, misses, size, maxsize."""
-        self._publish_cache_metrics()
+        """Distance-cache observability: hits, misses, size, maxsize.
+
+        Also flushes the ``fusion.distance_cache_lookups_total``
+        series, which :meth:`match` flushes once per trajectory.
+        """
+        self._lookups.flush()
+        hits, misses = self._lookups.counts()
         with self._cache_lock:
-            return {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "size": len(self._distance_cache),
-                "maxsize": self.distance_cache_size,
-            }
+            size = len(self._distance_cache)
+        return {"hits": hits, "misses": misses, "size": size,
+                "maxsize": self.distance_cache_size}
 
     def clear_cache(self):
-        self._publish_cache_metrics()
         with self._cache_lock:
             self._distance_cache.clear()
-            self._cache_hits = 0
-            self._cache_misses = 0
-            self._published_hits = 0
-            self._published_misses = 0
+        self._lookups.reset()
 
     def _transitions(self, points, valid, u, v, fraction, length):
         """Log transition probabilities for every layer pair.
@@ -343,7 +309,7 @@ class HmmMapMatcher:
             best = int(pointers[best])
             chosen.append(best)
         chosen.reverse()
-        self._publish_cache_metrics()
+        self._lookups.flush()
         return [
             (*edges[edge[t, c]], float(distance[t, c]),
              float(fraction[t, c]))

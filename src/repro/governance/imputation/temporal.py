@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..._validation import check_positive
+from ..._validation import check_positive, check_timeseries
 from ...datatypes import TimeSeries
 
 __all__ = [
@@ -57,7 +57,7 @@ def _column_interpolate(values, mask, timestamps):
 
 def impute_locf(series):
     """Last observation carried forward (first value carried backward)."""
-    values = series.values
+    values = check_timeseries(series).values
     mask = series.mask
     filled = values.copy()
     for column in range(values.shape[1]):
@@ -76,7 +76,7 @@ def impute_locf(series):
 
 def impute_linear(series):
     """Per-channel linear interpolation over the time axis."""
-    values = series.values
+    values = check_timeseries(series).values
     mask = series.mask
     timestamps = series.timestamps
     filled = values.copy()
@@ -96,7 +96,7 @@ def impute_seasonal(series, period):
     """
     check_positive(period, "period")
     period = int(period)
-    values = series.values
+    values = check_timeseries(series).values
     mask = series.mask
     timestamps = series.timestamps
     n_rows, n_cols = values.shape
@@ -194,9 +194,7 @@ class KalmanImputer:
 
     def impute(self, series):
         """Return a completed copy of ``series``."""
-        if not isinstance(series, TimeSeries):
-            raise TypeError("series must be a TimeSeries")
-        values = series.values
+        values = check_timeseries(series).values
         mask = series.mask
         filled = values.copy()
         for column in range(values.shape[1]):

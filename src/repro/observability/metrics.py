@@ -35,6 +35,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LookupTally",
     "MetricsRegistry",
     "get_registry",
     "set_registry",
@@ -414,3 +415,69 @@ def use_registry(registry=None):
         yield registry
     finally:
         set_registry(previous)
+
+
+class LookupTally:
+    """Hit/miss counts of one cache or memo, flushed as deltas.
+
+    Owners count every probe with :meth:`hit` / :meth:`miss` and call
+    :meth:`flush` once per unit of work (a matched trajectory, a
+    served query), which adds what was counted since the previous
+    flush to the ``name`` counter of the global registry under an
+    ``outcome`` label.  Hot loops therefore never pay for a labelled
+    counter, and the series lags the in-flight work by at most one
+    flush.  The delta read and the published-watermark advance happen
+    atomically under the tally's lock, so concurrent flushers never
+    double- or under-count a lookup; the (thread-safe) counter
+    increments run outside it.  A pickled tally arrives empty.
+    """
+
+    def __init__(self, name, description):
+        self.name = name
+        self.description = description
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self._published_hits = 0
+        self._published_misses = 0
+
+    def __getstate__(self):
+        return {"name": self.name, "description": self.description}
+
+    def __setstate__(self, state):
+        self.__init__(state["name"], state["description"])
+
+    def hit(self):
+        with self._lock:
+            self.hits += 1
+
+    def miss(self):
+        with self._lock:
+            self.misses += 1
+
+    def counts(self):
+        """``(hits, misses)`` since construction or :meth:`reset`."""
+        with self._lock:
+            return self.hits, self.misses
+
+    def flush(self):
+        """Publish the hit/miss deltas since the last flush."""
+        with self._lock:
+            hits = self.hits - self._published_hits
+            misses = self.misses - self._published_misses
+            if not hits and not misses:
+                return
+            self._published_hits = self.hits
+            self._published_misses = self.misses
+        counter = get_registry().counter(self.name, self.description)
+        if hits:
+            counter.inc(hits, outcome="hit")
+        if misses:
+            counter.inc(misses, outcome="miss")
+
+    def reset(self):
+        """Flush, then start counting from zero again."""
+        self.flush()
+        with self._lock:
+            self.hits = self.misses = 0
+            self._published_hits = self._published_misses = 0

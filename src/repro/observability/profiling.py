@@ -121,7 +121,8 @@ class RunProfiler:
                     serial=False):
         """Capture baselines in the executing thread; returns a token.
 
-        ``serial=True`` (chain execution) additionally resets the
+        ``serial=True`` (an inline run, one stage at a time — see
+        :mod:`repro.core.scheduler`) additionally resets the
         tracemalloc peak so the stage's peak delta is exact rather
         than an upper bound shared with concurrent neighbours.
         """

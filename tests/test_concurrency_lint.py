@@ -1,8 +1,8 @@
 """The concurrency analyzer: RC030-RC034 fixtures, CLI and self-check.
 
 One positive fixture and at least one near-miss per rule (file:line
-asserted in text and JSON), the PR-7 regression (reverting the
-``_publish_cache_metrics`` locking must resurface RC031 at the exact
+asserted in text and JSON), the PR-7 regression (reverting the shared
+``LookupTally.flush`` locking must resurface RC031 at the exact
 line), the ruff-style noqa code-list forms, the SARIF / baseline CLI
 paths, and a self-check that ``src`` + ``examples`` lint clean under
 ``--select RC03``.
@@ -496,30 +496,30 @@ class Child(Base):
 
 class TestPr7Regression:
     def test_reverted_publish_cache_metrics_resurfaces(self):
-        """Un-fixing the matcher's metrics flush must yield RC031 at
-        the exact watermark-advance lines."""
-        source = (REPO / "src" / "repro" / "governance" / "fusion"
-                  / "map_matching.py").read_text(encoding="utf-8")
-        fixed = """        with self._cache_lock:
-            hits = self._cache_hits - self._published_hits
-            misses = self._cache_misses - self._published_misses
+        """Un-fixing the shared metrics flush (``LookupTally.flush``,
+        which the matcher and the router both use) must yield RC031
+        at the exact watermark-advance lines."""
+        source = (REPO / "src" / "repro" / "observability"
+                  / "metrics.py").read_text(encoding="utf-8")
+        fixed = """        with self._lock:
+            hits = self.hits - self._published_hits
+            misses = self.misses - self._published_misses
             if not hits and not misses:
                 return
-            self._published_hits = self._cache_hits
-            self._published_misses = self._cache_misses"""
-        reverted = """        hits = self._cache_hits - self._published_hits
-        misses = self._cache_misses - self._published_misses
+            self._published_hits = self.hits
+            self._published_misses = self.misses"""
+        reverted = """        hits = self.hits - self._published_hits
+        misses = self.misses - self._published_misses
         if not hits and not misses:
             return
-        self._published_hits = self._cache_hits
-        self._published_misses = self._cache_misses"""
-        assert fixed in source, "matcher flush no longer matches"
+        self._published_hits = self.hits
+        self._published_misses = self.misses"""
+        assert fixed in source, "metrics flush no longer matches"
         broken = source.replace(fixed, reverted)
         findings = only(rc03(broken, path="reverted.py"), "RC031")
         expected = [
-            line_of(broken, "self._published_hits = self._cache_hits"),
-            line_of(broken,
-                    "self._published_misses = self._cache_misses"),
+            line_of(broken, "self._published_hits = self.hits"),
+            line_of(broken, "self._published_misses = self.misses"),
         ]
         assert [f.line for f in findings] == expected
         # ... and the pristine file stays clean.

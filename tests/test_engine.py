@@ -226,6 +226,64 @@ class TestScheduler:
         assert max(overlaps) == 1
 
 
+    def test_serial_backend_runs_a_diamond_in_list_order(self):
+        tracer = CollectingTracer()
+        state, report = _diamond().run(executor="serial", tracer=tracer)
+        assert state["out"] == "ab"
+        assert [r.name for r in report.records] == _DIAMOND_ORDER
+        assert ([e.stage for e in tracer.of_kind("stage_start")]
+                == _DIAMOND_ORDER)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_chain_runs_in_the_calling_thread(self, executor):
+        caller = threading.get_ident()
+        seen = []
+        pipeline = DecisionPipeline()
+        for name in ("a", "b", "c"):
+            pipeline.add_governance(
+                name, lambda s: seen.append(threading.get_ident()) or "ok")
+        pipeline.run(executor=executor)
+        assert seen == [caller] * 3
+
+
+#: Layer-major list order of :func:`_diamond`: two roots, one fan-out.
+_DIAMOND_ORDER = ["load", "left", "right", "solo", "join"]
+
+
+def _diamond(fail=None):
+    """A non-chain DAG whose stage named ``fail`` raises."""
+    def stage(name, key, value):
+        def run(s):
+            if name == fail:
+                raise RuntimeError(f"{name} broke")
+            s[key] = value(s)
+            return name
+        return run
+
+    pipeline = DecisionPipeline("diamond")
+    pipeline.add_data("load", stage("load", "x", lambda s: 1),
+                      reads=(), writes=("x",))
+    pipeline.add_governance("left", stage("left", "a", lambda s: "a"),
+                            reads=("x",), writes=("a",))
+    pipeline.add_governance("right", stage("right", "b", lambda s: "b"),
+                            reads=("x",), writes=("b",))
+    pipeline.add_analytics("solo", stage("solo", "c", lambda s: 0),
+                           reads=(), writes=("c",))
+    pipeline.add_decision(
+        "join", stage("join", "out", lambda s: s["a"] + s["b"]),
+        reads=("a", "b", "c"), writes=("out",))
+    return pipeline
+
+
+def _chain(fail=None):
+    """Wildcard stages resolving to a chain; ``fail`` raises."""
+    pipeline = DecisionPipeline("chain")
+    for name in _DIAMOND_ORDER:
+        pipeline.add_governance(
+            name, (lambda s: 1 / 0) if name == fail else (lambda s: "ok"))
+    return pipeline
+
+
 # -- failure policies -------------------------------------------------------
 
 
@@ -248,6 +306,26 @@ class TestFailurePolicies:
         assert failure.stage == "boom"
         assert failure.report.record("boom").status == "failed"
         assert failure.report.record("ok").status == "ok"
+
+    @pytest.mark.parametrize("build, executor", [
+        (_diamond, "serial"),
+        (_chain, "serial"),
+        (_chain, "thread"),
+    ])
+    def test_inline_failure_cancels_every_later_stage(self, build,
+                                                      executor):
+        with pytest.raises(StageFailure) as excinfo:
+            build(fail="left").run(executor=executor)
+        failure = excinfo.value
+        assert failure.stage == "left"
+        assert failure.secondary == []
+        records = failure.report.records
+        assert [r.name for r in records] == _DIAMOND_ORDER
+        assert [r.status for r in records] == [
+            "ok", "failed", "cancelled", "cancelled", "cancelled"]
+        for record in records[2:]:
+            assert record.summary == "cancelled: run aborted"
+            assert record.error == "run aborted"
 
     def test_skip_policy_lets_the_dag_proceed(self):
         pipeline = DecisionPipeline()

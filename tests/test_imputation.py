@@ -98,6 +98,13 @@ class TestTemporalImputation:
     def test_kalman_type_check(self):
         with pytest.raises(TypeError):
             KalmanImputer().impute([1, 2, 3])
+        values = np.arange(12.0).reshape(6, 2)
+        for impute in (impute_locf, impute_linear,
+                       lambda s: impute_seasonal(s, 3),
+                       KalmanImputer().impute):
+            with pytest.raises(TypeError,
+                               match="expected a TimeSeries, got ndarray"):
+                impute(values)
 
     def test_backcast_shapes(self):
         clean, _ = corrupted_seasonal()

@@ -716,15 +716,13 @@ class TestCachePlumbing:
 
     def test_scheduler_rejects_mismatched_cache_keys(self):
         from repro.core import RunReport, dag
-        from repro.core.scheduler import DagScheduler
+        from repro.core.scheduler import execute_dag
 
         stage = Stage("data", "only", wildcard_stage)
         deps = dag.resolve_dependencies([stage])
         with pytest.raises(ValueError, match="cache_keys"):
-            DagScheduler().execute([stage], deps, {},
-                                   RunReport("mismatch"),
-                                   cache=StageCache(),
-                                   cache_keys=["a", "b"])
+            execute_dag([stage], deps, {}, RunReport("mismatch"),
+                        cache=StageCache(), cache_keys=["a", "b"])
 
 
 # -- the online governance / analytics companions ----------------------------

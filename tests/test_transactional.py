@@ -497,6 +497,25 @@ class TestBoundedExecution:
         assert report.cancelled_count == 3
         assert "deadline" in report.render()
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_deadline_expiring_mid_chain(self, executor):
+        faults = FaultInjector().delay("second", 0.5)
+        pipeline = DecisionPipeline()
+        for name in ("first", "second", "third", "fourth"):
+            pipeline.add_governance(  # wildcard contracts: a chain
+                name, lambda s, key=name: s.update({key: 1}) or key)
+        with pytest.raises(RunDeadlineExceeded) as excinfo:
+            pipeline.run(tracer=faults, deadline=0.15, executor=executor)
+        records = excinfo.value.report.records
+        assert [(r.name, r.status, r.summary) for r in records] == [
+            ("first", "ok", "first"),
+            ("second", "cancelled",
+             "cancelled: run deadline exceeded"),
+            ("third", "cancelled", "cancelled: run aborted"),
+            ("fourth", "cancelled", "cancelled: run aborted"),
+        ]
+        assert excinfo.value.state == {"first": 1}
+
     def test_failure_cancels_in_flight_stages(self):
         barrier = threading.Barrier(2, timeout=5)
 
