@@ -46,7 +46,11 @@ class SpectralResidualDetector:
         return saliency[:n]
 
     def score(self, series):
-        """Per-timestep saliency, max-aggregated over channels."""
+        """Per-timestep saliency, max-aggregated over channels.
+
+        A constant (zero-variance) channel has no salient points and
+        contributes a score of 0 everywhere.
+        """
         if not isinstance(series, TimeSeries):
             raise TypeError("series must be a TimeSeries")
         if not series.is_complete():
@@ -54,7 +58,10 @@ class SpectralResidualDetector:
         values = series.values
         scores = np.zeros(len(series))
         for channel in range(values.shape[1]):
-            saliency = self._saliency(values[:, channel])
+            column = values[:, channel]
+            if np.all(column == column[0]):
+                continue
+            saliency = self._saliency(column)
             kernel = np.ones(self.score_window) / self.score_window
             local_mean = np.convolve(saliency, kernel, mode="same")
             local_mean[local_mean == 0] = 1e-12

@@ -26,9 +26,13 @@ it committed *and* the keys it deleted (tombstones), so a cached
 replay reproduces deletions exactly like a live run.  Deltas are
 deep-copied on store and again on replay — a later stage mutating a
 replayed numpy array or dict in place can therefore never corrupt
-the cached copy for future runs.  A value that cannot be deep-copied
-demotes its stage to uncacheable instead of being shared by
-reference.
+the cached copy for future runs.  Immutable values (a ``Histogram``
+or ``TimeVaryingDistribution`` returns itself from ``__deepcopy__``)
+are shared, not copied, by these deep copies: nothing can mutate them,
+so sharing keeps the isolation guarantee without walking every fitted
+distribution on each store and replay.  A value that cannot be
+deep-copied demotes its stage to uncacheable instead of being shared
+by reference.
 
 Function fingerprints are *structural*: nested code objects (inner
 lambdas, comprehensions, local functions) are recursed into and

@@ -22,10 +22,12 @@ or by map-matched GPS traces.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..._validation import check_positive, trapezoid
-from .distributions import Histogram
+from .distributions import GaussianMixture, Histogram
 
 __all__ = [
     "TimeVaryingDistribution",
@@ -67,7 +69,8 @@ class TimeVaryingDistribution:
     """
 
     def __init__(self, intervals, distributions):
-        intervals = [tuple(map(float, pair)) for pair in intervals]
+        intervals = tuple(tuple(map(float, pair)) for pair in intervals)
+        distributions = tuple(distributions)
         if len(intervals) != len(distributions):
             raise ValueError("intervals and distributions must align")
         if not intervals:
@@ -75,8 +78,19 @@ class TimeVaryingDistribution:
         for start, end in intervals:
             if end <= start:
                 raise ValueError(f"empty interval ({start}, {end})")
-        self.intervals = intervals
-        self.distributions = list(distributions)
+        vars(self).update(intervals=intervals, distributions=distributions)
+
+    # An immutable value over immutable histograms: copies share it.
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"TimeVaryingDistribution is immutable; cannot set {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def at(self, minute):
         """The distribution in force at ``minute`` (of day)."""
@@ -95,6 +109,9 @@ class TimeVaryingDistribution:
 
 class _TraversalStore:
     """Shared bookkeeping: per-key, per-interval traversal-time samples.
+
+    ``refit`` folds a fit's samples into one read-only float array per
+    ``(key, interval)`` and summarizes every fitted key at once.
 
     ``representation`` selects how the empirical samples are summarized
     — ``"histogram"`` (default) or ``"gmm"`` (a Gaussian mixture fit by
@@ -125,44 +142,101 @@ class _TraversalStore:
         ]
         return int(np.argmin(midpoints))
 
-    def add(self, key, minute, value):
-        bucket = self._samples.setdefault(key, {})
-        bucket.setdefault(self._interval_index(minute), []).append(
-            float(value))
+    def refit(self, observations, keep=None):
+        """Add ``(key, minute, value)`` observations and summarize.
 
-    def count(self, key):
-        bucket = self._samples.get(key)
-        if not bucket:
-            return 0
-        return sum(len(samples) for samples in bucket.values())
+        Returns the :class:`TimeVaryingDistribution` of every key seen
+        so far for which ``keep(key, n_samples)`` holds (every key when
+        ``keep`` is None).  Each ``(key, interval)`` bucket is one
+        read-only float array.  The store changes only once every
+        distribution is built, so a fit that raises leaves it as it was.
+        """
+        pending = {}
+        for key, minute, value in observations:
+            pending.setdefault(key, {}).setdefault(
+                self._interval_index(minute), []).append(value)
+        samples = dict(self._samples)
+        for key, buckets in pending.items():
+            bucket = samples[key] = dict(samples.get(key, {}))
+            for index, values in buckets.items():
+                sealed = bucket.get(index)
+                array = (np.array(values, dtype=float) if sealed is None
+                         else np.concatenate([sealed, values]))
+                array.setflags(write=False)
+                bucket[index] = array
+        fitted = self._distributions({
+            key: bucket for key, bucket in samples.items()
+            if keep is None
+            or keep(key, sum(len(array) for array in bucket.values()))
+        })
+        self._samples = samples
+        return fitted
 
-    def _summarize(self, samples):
-        samples = np.asarray(samples)
-        if self.representation == "gmm" and \
-                len(samples) >= 3 * self.n_components:
-            from .distributions import GaussianMixture
+    def _distributions(self, buckets):
+        """The :class:`TimeVaryingDistribution` of every key in
+        ``buckets`` (``{key: {interval: samples}}``).
 
-            mixture = GaussianMixture.fit(
-                samples, self.n_components,
-                rng=np.random.default_rng(len(samples)))
-            return mixture.to_histogram(self.n_bins)
-        return Histogram.from_samples(samples, n_bins=self.n_bins)
+        Each key's interval buckets — plus its pooled samples when some
+        interval has none — are summarized together: every histogram
+        comes from one :meth:`Histogram.from_sample_groups` call, and
+        under ``"gmm"`` a bucket of at least ``3 * n_components``
+        samples gets its own EM fit instead.
+        """
+        groups = []
 
-    def distribution(self, key):
-        """Build the fitted :class:`TimeVaryingDistribution` for ``key``."""
-        bucket = self._samples.get(key)
-        if not bucket:
-            return None
-        pooled = [v for samples in bucket.values() for v in samples]
-        fallback = self._summarize(pooled)
-        distributions = []
-        for index in range(len(self.intervals)):
-            samples = bucket.get(index)
-            if samples:
-                distributions.append(self._summarize(samples))
-            else:
-                distributions.append(fallback)
-        return TimeVaryingDistribution(self.intervals, distributions)
+        def summary(samples):
+            # A Histogram now, or the index of its group in ``groups``.
+            if self.representation == "gmm" and \
+                    len(samples) >= 3 * self.n_components:
+                mixture = GaussianMixture.fit(
+                    samples, self.n_components,
+                    rng=np.random.default_rng(len(samples)))
+                return mixture.to_histogram(self.n_bins)
+            groups.append(samples)
+            return len(groups) - 1
+
+        plans = {}
+        for key, bucket in buckets.items():
+            fallback = None
+            if len(bucket) < len(self.intervals):
+                fallback = summary(np.concatenate(list(bucket.values())))
+            plans[key] = [
+                summary(bucket[index]) if index in bucket else fallback
+                for index in range(len(self.intervals))
+            ]
+        histograms = Histogram.from_sample_groups(groups, self.n_bins)
+        return {
+            key: TimeVaryingDistribution(self.intervals, [
+                histograms[part] if isinstance(part, int) else part
+                for part in plan
+            ])
+            for key, plan in plans.items()
+        }
+
+
+def _checked_trips(trips):
+    """Validate ``(path, edge_times, departure_minute)`` triples before
+    a fit touches its store, so a rejected fit changes nothing.
+
+    Returns the trips as a list with ``edge_times`` as float arrays and
+    departures as floats.
+    """
+    checked = []
+    for index, (path, edge_times, departure) in enumerate(trips):
+        times = np.asarray(edge_times, dtype=float)
+        if times.ndim != 1 or len(times) != max(len(path) - 1, 0):
+            raise ValueError(
+                f"trip {index}: edge_times must match the path edges")
+        if not np.isfinite(times).all() or (times < 0).any():
+            raise ValueError(
+                f"trip {index}: edge_times must be finite and >= 0")
+        departure = float(departure)
+        if not math.isfinite(departure):
+            raise ValueError(f"trip {index}: departure must be finite")
+        checked.append((path, times, departure))
+    if not checked:
+        raise ValueError("fit needs at least one trip")
+    return checked
 
 
 class EdgeCentricModel:
@@ -184,23 +258,23 @@ class EdgeCentricModel:
         self._fitted = {}
 
     def fit(self, trips):
-        """Fit from ``(path, edge_times, departure_minute)`` triples."""
-        n_trips = 0
-        for path, edge_times, departure in trips:
-            n_trips += 1
-            minute = float(departure)
-            edges = list(zip(path, path[1:]))
-            if len(edge_times) != len(edges):
-                raise ValueError("edge_times must match the path edges")
-            for edge, duration in zip(edges, edge_times):
-                self._store.add(edge, minute, duration)
-                minute += float(duration)
-        if n_trips == 0:
-            raise ValueError("fit needs at least one trip")
-        self._fitted = {
-            key: self._store.distribution(key)
-            for key in self._store._samples
-        }
+        """Fit from ``(path, edge_times, departure_minute)`` triples.
+
+        Refits every edge seen so far.  Raises ``ValueError`` naming
+        the first bad trip (misaligned, non-finite or negative edge
+        times, non-finite departure).  A fit that raises leaves the
+        model as it was.
+        """
+        checked = _checked_trips(trips)
+
+        def observations():
+            for path, edge_times, minute in checked:
+                for edge, duration in zip(zip(path, path[1:]),
+                                          edge_times.tolist()):
+                    yield edge, minute, duration
+                    minute += duration
+
+        self._fitted = self._store.refit(observations())
         return self
 
     @property
@@ -261,28 +335,27 @@ class PathCentricModel:
         self._fitted = {}
 
     def fit(self, trips):
-        """Fit from ``(path, edge_times, departure_minute)`` triples."""
-        n_trips = 0
-        for path, edge_times, departure in trips:
-            n_trips += 1
-            edges = list(zip(path, path[1:]))
-            if len(edge_times) != len(edges):
-                raise ValueError("edge_times must match the path edges")
-            starts = np.concatenate([[0.0], np.cumsum(edge_times)])
-            for begin in range(len(edges)):
-                limit = min(len(edges), begin + self.max_subpath_edges)
-                for end in range(begin + 1, limit + 1):
-                    key = tuple(path[begin:end + 1])
-                    minute = float(departure) + float(starts[begin])
-                    duration = float(starts[end] - starts[begin])
-                    self._store.add(key, minute, duration)
-        if n_trips == 0:
-            raise ValueError("fit needs at least one trip")
-        self._fitted = {}
-        for key in self._store._samples:
-            enough = self._store.count(key) >= self.min_support
-            if len(key) == 2 or enough:
-                self._fitted[key] = self._store.distribution(key)
+        """Fit from ``(path, edge_times, departure_minute)`` triples.
+
+        Validated like :meth:`EdgeCentricModel.fit`: a rejected fit
+        leaves the model as it was.
+        """
+        checked = _checked_trips(trips)
+
+        def observations():
+            for path, edge_times, departure in checked:
+                starts = np.concatenate([[0.0], np.cumsum(edge_times)])
+                for begin in range(len(edge_times)):
+                    limit = min(len(edge_times),
+                                begin + self.max_subpath_edges)
+                    for end in range(begin + 1, limit + 1):
+                        yield (tuple(path[begin:end + 1]),
+                               departure + float(starts[begin]),
+                               float(starts[end] - starts[begin]))
+
+        self._fitted = self._store.refit(
+            observations(), lambda key, n_samples:
+            len(key) == 2 or n_samples >= self.min_support)
         return self
 
     @property

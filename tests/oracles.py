@@ -15,6 +15,93 @@ from repro.decision.stochastic import (
     first_order_dominates,
     second_order_dominates,
 )
+from repro.governance.uncertainty import GaussianMixture, Histogram
+
+
+def histogram_reference(samples, n_bins=30, *, bounds=None):
+    """Per-group reference for ``Histogram.from_sample_groups``: one
+    ``numpy.histogram`` call over the padded sample range."""
+    data = np.asarray(samples, dtype=float)
+    if data.ndim != 1 or data.size == 0:
+        raise ValueError("samples must be a non-empty 1-D array")
+    if bounds is None:
+        low, high = float(data.min()), float(data.max())
+    else:
+        low, high = map(float, bounds)
+        if high <= low:
+            raise ValueError("bounds must satisfy low < high")
+    if high == low:
+        high = low + 1e-9
+    span = high - low
+    low -= 1e-9 * span
+    high += 1e-9 * span
+    counts, edges = np.histogram(data, bins=n_bins, range=(low, high))
+    width = edges[1] - edges[0]
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("no samples fall inside the given bounds")
+    return Histogram(edges[0] + width / 2, width, counts / total)
+
+
+def travel_time_reference(trips, *, intervals, n_bins,
+                          representation="histogram", n_components=2,
+                          max_subpath_edges=None, min_support=1):
+    """Reference fit of the ``(I, D)`` travel-time models.
+
+    Returns ``{key: [distribution per interval]}``, summarizing one
+    bucket at a time with :func:`histogram_reference` (or an EM fit for
+    ``"gmm"`` buckets of at least ``3 * n_components`` samples).
+    ``max_subpath_edges=None`` is the edge-centric model, whose clock
+    advances edge by edge; otherwise sub-paths up to that many edges
+    are kept when traversed ``min_support`` times (edges always).
+    """
+
+    def interval_of(minute):
+        minute = float(minute) % (24 * 60)
+        for index, (start, end) in enumerate(intervals):
+            if start <= minute < end:
+                return index
+        gaps = [abs((start + end) / 2 - minute) for start, end in intervals]
+        return int(np.argmin(gaps))
+
+    def summarize(samples):
+        if representation == "gmm" and len(samples) >= 3 * n_components:
+            mixture = GaussianMixture.fit(
+                np.asarray(samples), n_components,
+                rng=np.random.default_rng(len(samples)))
+            return mixture.to_histogram(n_bins)
+        return histogram_reference(samples, n_bins)
+
+    observations = {}
+    for path, edge_times, departure in trips:
+        if max_subpath_edges is None:
+            minute = float(departure)
+            for u, v, duration in zip(path, path[1:], edge_times):
+                observations.setdefault((u, v), []).append(
+                    (minute, float(duration)))
+                minute += float(duration)
+            continue
+        starts = np.concatenate([[0.0], np.cumsum(edge_times)])
+        for begin in range(len(edge_times)):
+            limit = min(len(edge_times), begin + max_subpath_edges)
+            for end in range(begin + 1, limit + 1):
+                observations.setdefault(tuple(path[begin:end + 1]), []).append(
+                    (float(departure) + float(starts[begin]),
+                     float(starts[end] - starts[begin])))
+    fitted = {}
+    for key, pairs in observations.items():
+        if len(key) > 2 and len(pairs) < min_support:
+            continue
+        buckets = {}
+        for minute, duration in pairs:
+            buckets.setdefault(interval_of(minute), []).append(duration)
+        pooled = [value for bucket in buckets.values() for value in bucket]
+        fallback = summarize(pooled)
+        fitted[key] = [
+            summarize(buckets[index]) if index in buckets else fallback
+            for index in range(len(intervals))
+        ]
+    return fitted
 
 
 def candidate_edges_scan(network, point, radius):

@@ -221,3 +221,18 @@ class TestSpectralResidual:
         with pytest.raises(ValueError):
             SpectralResidualDetector().score(
                 TimeSeries([1.0, np.nan, 2.0]))
+
+    def test_constant_series_scores_zero(self):
+        scores = SpectralResidualDetector().score(
+            TimeSeries(np.full(200, 3.5)))
+        assert np.array_equal(scores, np.zeros(200))
+
+    def test_constant_channel_leaves_spiky_channel_unchanged(self):
+        rng = np.random.default_rng(23)
+        spiky = rng.normal(0, 0.1, size=300)
+        spiky[120] += 5.0
+        detector = SpectralResidualDetector()
+        alone = detector.score(TimeSeries(spiky))
+        paired = detector.score(TimeSeries(
+            np.column_stack([np.full(300, -2.0), spiky])))
+        assert np.array_equal(paired, alone)

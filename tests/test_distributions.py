@@ -1,5 +1,8 @@
 """Tests for repro.governance.uncertainty.distributions."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro._validation import trapezoid
 from repro.governance.uncertainty import GaussianMixture, Histogram
+from tests.oracles import histogram_reference
 
 
 class TestHistogramConstruction:
@@ -227,3 +231,148 @@ def test_cdf_is_valid_distribution_property(seed):
     cdf = histogram.cdf(grid)
     assert np.all(np.diff(cdf) >= -1e-12)
     assert cdf[-1] == pytest.approx(1.0)
+
+
+def _assert_bitwise(histogram, reference):
+    assert histogram.start == reference.start
+    assert histogram.width == reference.width
+    assert histogram.probabilities.tobytes() == \
+        reference.probabilities.tobytes()
+
+
+# Values drawn from a coarse grid tie on bin edges; the 1e10 offsets
+# make a single sample's padded range empty, taking numpy's +-0.5 path.
+_sample_groups = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 40).map(lambda k: k * 0.25),
+                 min_size=1, max_size=30),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+        st.floats(-1e3, 1e3).map(lambda v: [v] * 5),
+        st.lists(st.integers(0, 2).map(lambda k: 1e10 + k),
+                 min_size=1, max_size=4),
+        st.just([1e10]),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+class TestSampleGroupsKernel:
+    """``from_sample_groups`` is bitwise ``numpy.histogram`` per group."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(groups=_sample_groups,
+           n_bins=st.sampled_from([1, 2, 3, 8, 9, 25, 30]))
+    def test_matches_reference_bitwise(self, groups, n_bins):
+        histograms = Histogram.from_sample_groups(groups, n_bins)
+        assert len(histograms) == len(groups)
+        for group, histogram in zip(groups, histograms):
+            _assert_bitwise(histogram,
+                            histogram_reference(group, n_bins))
+
+    @settings(deadline=None, max_examples=100)
+    @given(groups=st.lists(
+        st.lists(st.integers(-8, 48).map(lambda k: k * 0.25),
+                 min_size=1, max_size=30).filter(
+            lambda group: any(0.0 <= v <= 10.0 for v in group)),
+        min_size=1, max_size=8),
+        n_bins=st.sampled_from([1, 4, 10, 25]))
+    def test_matches_reference_with_bounds(self, groups, n_bins):
+        histograms = Histogram.from_sample_groups(groups, n_bins,
+                                                  bounds=(0.0, 10.0))
+        for group, histogram in zip(groups, histograms):
+            _assert_bitwise(histogram, histogram_reference(
+                group, n_bins, bounds=(0.0, 10.0)))
+
+    @pytest.mark.parametrize("samples, n_bins", [
+        # The scaled offset rounds one bin too high (numpy decrements).
+        ([19.06, 62.22, 47.83333334771999], 3),
+        # A sample exactly on an inner edge rounds one bin too low.
+        ([63.7, 77.26, 65.63714284745714], 7),
+    ])
+    def test_index_corrections_at_bin_edges(self, samples, n_bins):
+        histogram, = Histogram.from_sample_groups([samples], n_bins)
+        _assert_bitwise(histogram, histogram_reference(samples, n_bins))
+
+    def test_from_samples_is_one_group(self):
+        samples = np.random.default_rng(3).gamma(2.0, 3.0, 97)
+        _assert_bitwise(Histogram.from_samples(samples, n_bins=17),
+                        Histogram.from_sample_groups([samples], 17)[0])
+
+    def test_no_groups(self):
+        assert Histogram.from_sample_groups([], 10) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_bad_group_raises(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            Histogram.from_sample_groups([[1.0, 2.0], [3.0, bad]], 5)
+        with pytest.raises(ValueError, match="must not be empty"):
+            Histogram.from_sample_groups([[1.0, 2.0], []], 5)
+        with pytest.raises(ValueError, match="no samples fall inside"):
+            Histogram.from_sample_groups([[1.0], [9.0]], 5,
+                                         bounds=(0.0, 2.0))
+
+
+class TestDegenerateSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            Histogram.from_samples([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            Histogram.from_samples([1.0, bad], bounds=(0.0, 2.0))
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            Histogram.from_samples([])
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            Histogram.from_samples([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("samples", [[7.5], [7.5, 7.5, 7.5], [1e10]])
+    def test_point_like_histogram(self, samples):
+        histogram = Histogram.from_samples(samples, n_bins=10)
+        assert len(histogram) == 10
+        assert histogram.probabilities.max() == 1.0
+        assert histogram.mean() == pytest.approx(samples[0], rel=1e-9)
+        assert histogram.std() <= histogram.width
+
+    def test_too_many_bins_for_range(self):
+        with pytest.raises(ValueError, match="Too many bins"):
+            Histogram.from_samples([1e16], n_bins=25)
+        with pytest.raises(ValueError, match="Too many bins"):
+            Histogram.from_samples([1.0], n_bins=30, bounds=(0.0, 1e-322))
+
+    def test_bounds_excluding_every_sample(self):
+        with pytest.raises(ValueError, match="no samples fall inside"):
+            Histogram.from_samples([5.0, 6.0], bounds=(0.0, 1.0))
+
+    def test_inverted_bounds(self):
+        with pytest.raises(ValueError, match="low < high"):
+            Histogram.from_samples([5.0], bounds=(1.0, 1.0))
+
+
+class TestHistogramValue:
+    def test_probabilities_read_only(self):
+        histogram = Histogram.from_samples([1.0, 2.0, 2.5], n_bins=4)
+        with pytest.raises(ValueError):
+            histogram.probabilities[0] = 1.0
+        with pytest.raises(AttributeError):
+            histogram.start = 0.0
+
+    def test_read_only_after_pickle_round_trip(self):
+        histogram = Histogram(0.0, 1.0, [1.0, 3.0])
+        restored = pickle.loads(pickle.dumps(histogram))
+        assert restored.probabilities.tobytes() == \
+            histogram.probabilities.tobytes()
+        with pytest.raises(ValueError):
+            restored.probabilities[0] = 0.5
+
+    def test_copies_share_the_value(self):
+        histogram = Histogram(0.0, 1.0, [1.0, 3.0])
+        assert copy.copy(histogram) is histogram
+        assert copy.deepcopy(histogram) is histogram
+
+    def test_constructor_input_stays_writeable(self):
+        weights = np.array([1.0, 1.0])
+        Histogram(0.0, 1.0, weights)
+        weights[0] = 2.0

@@ -1,5 +1,8 @@
 """Tests for the edge-centric vs path-centric uncertainty models."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.governance.uncertainty import (
     TimeVaryingDistribution,
     wasserstein_distance,
 )
+from tests.oracles import travel_time_reference
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +200,176 @@ class TestWasserstein:
         b = Histogram.from_samples(rng.normal(2, 2, 300))
         assert wasserstein_distance(a, b) == pytest.approx(
             wasserstein_distance(b, a), rel=1e-9)
+
+
+_THREE_INTERVALS = ((0.0, 420.0), (420.0, 600.0), (600.0, 1440.0))
+
+
+@pytest.fixture(scope="module")
+def spread_trips(setup):
+    """Trips departing between 05:00 and 09:40, so with three
+    intervals some keys are seen in one interval only and the evening
+    interval (no data at all) falls back to the pooled samples."""
+    network, simulator, paths, _ = setup
+    rng = np.random.default_rng(5)
+    trips = []
+    for _ in range(40):
+        for path in paths:
+            departure = float(rng.uniform(300.0, 580.0))
+            times = simulator.sample_edge_times(
+                network.path_edges(path), departure_minute=departure,
+                rng=rng)
+            trips.append((path, times, departure))
+    return trips
+
+
+def _assert_same_distribution(actual, expected):
+    assert actual.start == expected.start
+    assert actual.width == expected.width
+    assert actual.probabilities.tobytes() == \
+        expected.probabilities.tobytes()
+
+
+def _midpoints(intervals):
+    return [(start + end) / 2 for start, end in intervals]
+
+
+@pytest.mark.parametrize("intervals", [((0.0, 1440.0),), _THREE_INTERVALS],
+                         ids=["one-interval", "three-intervals"])
+@pytest.mark.parametrize("representation", ["histogram", "gmm"])
+class TestBatchedFitMatchesReference:
+    """Fits summarize all buckets in one kernel call, bitwise equal to
+    summarizing each bucket on its own."""
+
+    def test_edge_centric(self, spread_trips, intervals, representation):
+        model = EdgeCentricModel(intervals=intervals, n_bins=25,
+                                 representation=representation)
+        model.fit(spread_trips)
+        reference = travel_time_reference(
+            spread_trips, intervals=intervals, n_bins=25,
+            representation=representation)
+        assert model.n_edges == len(reference)
+        for (u, v), expected in reference.items():
+            for minute, want in zip(_midpoints(intervals), expected):
+                _assert_same_distribution(
+                    model.edge_distribution(u, v, minute), want)
+
+    def test_path_centric(self, spread_trips, intervals, representation):
+        model = PathCentricModel(max_subpath_edges=4, min_support=30,
+                                 intervals=intervals, n_bins=25,
+                                 representation=representation)
+        model.fit(spread_trips)
+        reference = travel_time_reference(
+            spread_trips, intervals=intervals, n_bins=25,
+            representation=representation, max_subpath_edges=4,
+            min_support=30)
+        assert model.n_subpaths == len(reference)
+        assert any(len(key) > 2 for key in reference)
+        for key, expected in reference.items():
+            assert model.coverage(key) == [key]
+            for minute, want in zip(_midpoints(intervals), expected):
+                _assert_same_distribution(
+                    model.path_distribution(key, minute), want)
+
+
+class TestFitValues:
+    def test_refit_accumulates_like_one_fit(self, spread_trips):
+        half = len(spread_trips) // 2
+        twice = EdgeCentricModel(intervals=_THREE_INTERVALS)
+        twice.fit(spread_trips[:half]).fit(spread_trips[half:])
+        once = EdgeCentricModel(intervals=_THREE_INTERVALS)
+        once.fit(spread_trips)
+        assert pickle.dumps(twice) == pickle.dumps(once)
+
+    def test_deepcopy_shares_distributions(self, setup):
+        _, _, paths, trips = setup
+        model = PathCentricModel(min_support=10).fit(trips)
+        clone = copy.deepcopy(model)
+        for key in (tuple(paths[0][:2]), tuple(paths[0][:4])):
+            assert clone.path_distribution(key) is \
+                model.path_distribution(key)
+        edges = EdgeCentricModel().fit(trips)
+        u, v = paths[1][:2]
+        assert copy.deepcopy(edges).edge_distribution(u, v) is \
+            edges.edge_distribution(u, v)
+
+    def test_time_varying_distribution_is_a_value(self):
+        histogram = Histogram.point_mass(1.0)
+        varying = TimeVaryingDistribution([[0, 60], [60, 120]],
+                                          [histogram, histogram])
+        assert varying.intervals == ((0.0, 60.0), (60.0, 120.0))
+        assert varying.distributions == (histogram, histogram)
+        assert copy.deepcopy(varying) is varying
+        with pytest.raises(AttributeError):
+            varying.intervals = ()
+
+    def test_fitted_probabilities_read_only(self, setup):
+        _, _, paths, trips = setup
+        model = EdgeCentricModel().fit(trips)
+        u, v = paths[0][:2]
+        for fitted in (model, pickle.loads(pickle.dumps(model))):
+            with pytest.raises(ValueError):
+                fitted.edge_distribution(u, v).probabilities[0] = 1.0
+
+
+@pytest.mark.parametrize("model_class", [EdgeCentricModel,
+                                         PathCentricModel])
+class TestAtomicFit:
+    """A rejected fit names the bad trip and leaves the model as it
+    was; the next valid fit succeeds."""
+
+    @pytest.mark.parametrize("bad_trip, message", [
+        (lambda path: (path, [1.0] * (len(path) - 2) + [np.nan], 0.0),
+         "finite"),
+        (lambda path: (path, [1.0] * (len(path) - 2) + [-1.0], 0.0),
+         ">= 0"),
+        (lambda path: (path, [1.0] * (len(path) - 2) + [np.inf], 0.0),
+         "finite"),
+        (lambda path: (path, [1.0] * (len(path) - 1), np.nan),
+         "departure"),
+        (lambda path: (path, [1.0] * (len(path) - 1), -np.inf),
+         "departure"),
+        (lambda path: (path, [1.0], 0.0), "must match"),
+    ])
+    def test_rejected_fit_changes_nothing(self, setup, model_class,
+                                          bad_trip, message):
+        _, _, paths, trips = setup
+        model = model_class().fit(trips[:20])
+        before = pickle.dumps(model)
+        with pytest.raises(ValueError, match=f"trip 1: .*{message}"):
+            model.fit([trips[20], bad_trip(paths[0])])
+        assert pickle.dumps(model) == before
+        model.fit(trips[20:40])
+        assert model.path_distribution(paths[0]).mean() > 0
+
+    def test_failure_while_adding_changes_nothing(self, setup,
+                                                  model_class):
+        _, _, paths, trips = setup
+        model = model_class().fit(trips[:20])
+        before = pickle.dumps(model)
+        unhashable = [[node] for node in paths[0]]
+        with pytest.raises(TypeError):
+            model.fit([trips[20], (unhashable,
+                                   [1.0] * (len(unhashable) - 1), 0.0)])
+        assert pickle.dumps(model) == before
+
+    def test_failure_while_summarizing_changes_nothing(self, setup,
+                                                       model_class):
+        # A lone 1e16-minute traversal passes trip validation but has
+        # no finite-sized bins, so the histogram kernel raises.
+        _, _, _, trips = setup
+        model = model_class().fit(trips[:20])
+        before = pickle.dumps(model)
+        with pytest.raises(ValueError, match="Too many bins"):
+            model.fit([trips[20], ([-1, -2], [1e16], 0.0)])
+        assert pickle.dumps(model) == before
+        model.fit(trips[20:40])
+
+    def test_nan_refit_does_not_poison_the_model(self, model_class):
+        path = [0, 1, 2]
+        model = model_class().fit([(path, [1.0, 2.0], 0.0)])
+        with pytest.raises(ValueError, match="trip 0"):
+            model.fit([(path, [1.0, np.nan], 0.0)])
+        model.fit([(path, [1.5, 2.5], 0.0)])
+        assert model.path_distribution(path).mean() == pytest.approx(
+            3.5, abs=0.5)
